@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -187,12 +188,15 @@ def map_trials(
     trials: int,
     seed: int,
     workers: int = 1,
+    *,
+    pool: ProcessPoolExecutor | None = None,
 ) -> list:
     """Run ``trial_fn`` once per trial index and return results in index order.
 
     Each trial receives ``derive_stream(seed, index)``, so the output list is
     identical for any worker count.  With ``workers > 1`` the trial function
-    must be picklable (a top-level function or partial of one).
+    must be picklable (a top-level function or partial of one), and the
+    chunks run on ``pool`` if given, else on a pool opened for this call.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -202,8 +206,9 @@ def map_trials(
     n_chunks = min(trials, workers * 4)
     chunks = np.array_split(np.arange(trials), n_chunks)
     jobs = [(trial_fn, seed, chunk.tolist()) for chunk in chunks if len(chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_run_chunk, jobs):
+    owned = ProcessPoolExecutor(max_workers=workers) if pool is None else nullcontext(pool)
+    with owned as executor:
+        for part in executor.map(_run_chunk, jobs):
             for i, value in part:
                 out[i] = value
     return out
@@ -214,9 +219,11 @@ def run_trials(
     trials: int,
     seed: int,
     workers: int = 1,
+    *,
+    pool: ProcessPoolExecutor | None = None,
 ) -> MonteCarloSummary:
     """Estimate a success probability with a Wilson 95% interval."""
-    results = map_trials(trial_fn, trials, seed, workers)
+    results = map_trials(trial_fn, trials, seed, workers, pool=pool)
     successes = sum(1 for r in results if r)
     lo, hi = wilson_interval(successes, trials)
     return MonteCarloSummary(trials, successes, successes / trials, lo, hi, seed)
@@ -247,7 +254,8 @@ def threshold_bisect(
     value; ``increasing`` declares whether the success probability rises with
     the parameter.  Endpoints must straddle the target beyond their Wilson
     intervals or a BracketError is raised.  Every probe gets a fresh sub-seed
-    derived from ``(seed, probe_index)``.
+    derived from ``(seed, probe_index)``, and all probes share one pool of
+    ``workers`` processes, shut down however the bisection ends.
     """
     if not p_lo < p_hi:
         raise ValueError("need p_lo < p_hi")
@@ -259,34 +267,36 @@ def threshold_bisect(
     def evaluate(param: float) -> MonteCarloSummary:
         nonlocal probe
         summary = run_trials(
-            make_trial(param), trials_per_eval, _probe_seed(seed, probe), workers
+            make_trial(param), trials_per_eval, _probe_seed(seed, probe), workers, pool=pool
         )
         probe += 1
         scan.rows.append((param, summary))
         return summary
 
-    s_lo = evaluate(p_lo)
-    s_hi = evaluate(p_hi)
-    lo_ok = s_lo.ci_high < target if increasing else s_lo.ci_low > target
-    hi_ok = s_hi.ci_low > target if increasing else s_hi.ci_high < target
-    if not (lo_ok and hi_ok):
-        raise BracketError(
-            f"endpoint estimates do not straddle target={target}: "
-            f"P({p_lo:g})={s_lo.estimate:.3f} "
-            f"[{s_lo.ci_low:.3f},{s_lo.ci_high:.3f}], "
-            f"P({p_hi:g})={s_hi.estimate:.3f} "
-            f"[{s_hi.ci_low:.3f},{s_hi.ci_high:.3f}]"
-        )
+    # one pool for every probe, so its workers start once and keep their table caches
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        s_lo = evaluate(p_lo)
+        s_hi = evaluate(p_hi)
+        lo_ok = s_lo.ci_high < target if increasing else s_lo.ci_low > target
+        hi_ok = s_hi.ci_low > target if increasing else s_hi.ci_high < target
+        if not (lo_ok and hi_ok):
+            raise BracketError(
+                f"endpoint estimates do not straddle target={target}: "
+                f"P({p_lo:g})={s_lo.estimate:.3f} "
+                f"[{s_lo.ci_low:.3f},{s_lo.ci_high:.3f}], "
+                f"P({p_hi:g})={s_hi.estimate:.3f} "
+                f"[{s_hi.ci_low:.3f},{s_hi.ci_high:.3f}]"
+            )
 
-    lo, hi = p_lo, p_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        est = evaluate(mid).estimate
-        below = est < target
-        if below == increasing:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = p_lo, p_hi
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            est = evaluate(mid).estimate
+            below = est < target
+            if below == increasing:
+                lo = mid
+            else:
+                hi = mid
     scan.p_half = 0.5 * (lo + hi)
     scan.rows.sort(key=lambda row: row[0])
     return scan

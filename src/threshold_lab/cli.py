@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -23,14 +24,40 @@ from . import balls, designs, perms, sidon, unionfree
 _FORMAT_CHOICES = ("csv", "json")
 
 
+def _int_in(low: int, high: float = math.inf):
+    """argparse ``type`` for an integer in ``[low, high]``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}], got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+_positive_int = _int_in(1)
+
+
 def _default_workers() -> int:
+    """THRESHOLD_LAB_WORKERS if set, else the CPUs this process may run on."""
     env = os.environ.get("THRESHOLD_LAB_WORKERS")
     if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+        return _positive_int(env)
+    return len(os.sched_getaffinity(0))
 
 
 def _prop_trial(stream, fn, **kw) -> bool:
@@ -38,22 +65,31 @@ def _prop_trial(stream, fn, **kw) -> bool:
     return fn(stream, **kw)[1]
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    return _default_workers()
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    parser.add_argument("--seed", type=_int_in(0, 2**64 - 1), default=0,
+                        help="master seed, a 64-bit unsigned integer (default 0)")
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="trial parallelism (default: THRESHOLD_LAB_WORKERS or core count)",
+        help="trial parallelism (default: THRESHOLD_LAB_WORKERS or usable CPU count)",
     )
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=_FORMAT_CHOICES, default="csv")
+
+
+def _check_common(args, parser: argparse.ArgumentParser) -> None:
+    """Resolve the worker count and vet --out before any trial runs."""
+    if args.workers is None:
+        try:
+            args.workers = _default_workers()
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"THRESHOLD_LAB_WORKERS {exc}")
+    if args.out is not None:
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            parser.error(f"--out {args.out}: its directory does not exist")
+        if os.path.isdir(args.out):
+            parser.error(f"--out {args.out}: is a directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--lo", type=float, required=True, help="bracket low end (k scale)")
     q.add_argument("--hi", type=float, required=True, help="bracket high end (k scale)")
     q.add_argument("--target", type=float, default=0.5)
-    q.add_argument("--tol", type=float, required=True)
-    q.add_argument("--trials-per-eval", type=int, required=True)
+    q.add_argument("--tol", type=_positive_float, required=True)
+    q.add_argument("--trials-per-eval", type=_positive_int, required=True)
     _add_common(q)
 
     p = sub.add_parser("perm", help="pattern containment between adjacent sizes")
@@ -161,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--target", type=float, default=0.5)
-    p.add_argument("--tol", type=float, required=True)
-    p.add_argument("--trials-per-eval", type=int, required=True)
+    p.add_argument("--tol", type=_positive_float, required=True)
+    p.add_argument("--trials-per-eval", type=_positive_int, required=True)
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the exhaustive verification suite at default budgets")
@@ -227,17 +263,16 @@ _SCAN_COLUMNS = ["param", "trials", "successes", "estimate", "ci_low", "ci_high"
 def _run_balls(args, parser) -> int:
     if args.boxes < 1 or args.lam < 1 or args.trials < 1:
         parser.error("need --boxes >= 1, --lambda >= 1, --trials >= 1")
-    workers = _workers(args)
     if args.waiting:
         fn = partial(balls.waiting_trial, n_boxes=args.boxes, lam=args.lam)
-        results = map_trials(fn, args.trials, args.seed, workers)
+        results = map_trials(fn, args.trials, args.seed, args.workers)
         params = {"boxes": args.boxes, "lambda": args.lam, "mode": "waiting", "trials": args.trials}
         _emit(args, "balls", params, ["trial", "T"], list(enumerate(results)))
     else:
         if args.n_balls < 0:
             parser.error("--balls must be non-negative")
         fn = partial(balls.overfull_trial, n_boxes=args.boxes, lam=args.lam, n_balls=args.n_balls)
-        results = map_trials(fn, args.trials, args.seed, workers)
+        results = map_trials(fn, args.trials, args.seed, args.workers)
         params = {"boxes": args.boxes, "lambda": args.lam, "mode": "balls",
                   "balls": args.n_balls, "trials": args.trials}
         _emit(args, "balls", params, ["trial", "X"], [(i, x) for i, (x, _) in enumerate(results)])
@@ -263,8 +298,7 @@ def _run_design(args, parser) -> int:
         p = designs.covering_threshold_p(dp, args.r, clamp=True)
     trial = designs.deficiency_trial if args.mode == "cover" else designs.overfull_trial
     fn = partial(trial, params=dp, p=p)
-    workers = _workers(args)
-    results = map_trials(fn, args.trials, args.seed, workers)
+    results = map_trials(fn, args.trials, args.seed, args.workers)
     params = {"n": args.n, "k": args.k, "t": args.t, "lambda": args.lam,
               "mode": args.mode, "p": p, "trials": args.trials}
     if args.r is not None:
@@ -275,7 +309,6 @@ def _run_design(args, parser) -> int:
 
 
 def _run_sidon(args, parser) -> int:
-    workers = _workers(args)
     if args.sidon_command == "enum-bhg":
         if args.n < 1 or args.h < 2 or args.g < 1:
             parser.error("need --n >= 1, --h >= 2, --g >= 1")
@@ -291,7 +324,7 @@ def _run_sidon(args, parser) -> int:
         if not 0.0 <= p <= 1.0:
             parser.error("--k must lie in [0, n]")
         fn = partial(sidon.bh_g_trial, n=args.n, h=args.h, g=args.g, p=p)
-        results = map_trials(fn, args.trials, args.seed, workers)
+        results = map_trials(fn, args.trials, args.seed, args.workers)
         params = {"n": args.n, "h": args.h, "g": args.g, "k": args.k, "p": p,
                   "trials": args.trials}
         rows = [(i, top, holds) for i, (top, holds) in enumerate(results)]
@@ -306,7 +339,7 @@ def _run_sidon(args, parser) -> int:
             parser.error(str(exc))
         fn = partial(sidon.truncated_basis_trial, n=args.n, h=args.h, g=args.g,
                      alpha=args.alpha, p=p)
-        results = map_trials(fn, args.trials, args.seed, workers)
+        results = map_trials(fn, args.trials, args.seed, args.workers)
         params = {"n": args.n, "h": args.h, "g": args.g, "alpha": args.alpha,
                   "A": args.a_shift, "p": p, "trials": args.trials}
         rows = [(i, top, holds) for i, (top, holds) in enumerate(results)]
@@ -325,7 +358,7 @@ def _run_sidon(args, parser) -> int:
     scan = threshold_bisect(
         make_trial, args.lo, args.hi, target=args.target,
         trials_per_eval=args.trials_per_eval, tol=args.tol, seed=args.seed,
-        increasing=False, workers=workers,
+        increasing=False, workers=args.workers,
     )
     params = {"n": args.n, "h": args.h, "g": args.g, "lo": args.lo, "hi": args.hi,
               "target": args.target, "tol": args.tol,
@@ -335,7 +368,6 @@ def _run_sidon(args, parser) -> int:
 
 
 def _run_perm(args, parser) -> int:
-    workers = _workers(args)
     if args.perm_command == "verify-lemmas":
         max_n = args.max_n
         max_n_cover = args.max_n_cover if args.max_n_cover is not None else max_n + 1
@@ -357,7 +389,7 @@ def _run_perm(args, parser) -> int:
         fn = partial(perms.pack_trial, n=args.n, lam=args.lam, p=args.p)
         params = {"n": args.n, "lambda": args.lam, "p": args.p, "trials": args.trials}
         command = "perm pack"
-    results = map_trials(fn, args.trials, args.seed, workers)
+    results = map_trials(fn, args.trials, args.seed, args.workers)
     rows = [(i, x, holds) for i, (x, holds) in enumerate(results)]
     _emit(args, command, params, ["trial", "X", "prop_holds"], rows)
     return 0
@@ -370,9 +402,8 @@ def _run_unionfree(args, parser) -> int:
         parser.error("--p must lie in [0, 1]")
     if args.trials < 1:
         parser.error("--trials must be at least 1")
-    workers = _workers(args)
     fn = partial(unionfree.union_collision_trial, n=args.n, p=args.p)
-    results = map_trials(fn, args.trials, args.seed, workers)
+    results = map_trials(fn, args.trials, args.seed, args.workers)
     params = {"n": args.n, "p": args.p, "trials": args.trials}
     if args.exact_obstacles:
         params["obstacles_formula"] = unionfree.union_obstacle_count(args.n)
@@ -386,7 +417,6 @@ def _run_unionfree(args, parser) -> int:
 def _run_scan(args, parser) -> int:
     if not 0.0 <= args.lo < args.hi <= 1.0:
         parser.error("need 0 <= --lo < --hi <= 1")
-    workers = _workers(args)
     params = {"experiment": args.experiment, "n": args.n}
     if args.experiment == "unionfree":
         if not 1 <= args.n <= 24:
@@ -414,7 +444,7 @@ def _run_scan(args, parser) -> int:
     scan = threshold_bisect(
         make_trial, args.lo, args.hi, target=args.target,
         trials_per_eval=args.trials_per_eval, tol=args.tol, seed=args.seed,
-        increasing=increasing, workers=workers,
+        increasing=increasing, workers=args.workers,
     )
     params.update({"lo": args.lo, "hi": args.hi, "target": args.target,
                    "tol": args.tol, "trials_per_eval": args.trials_per_eval,
@@ -446,6 +476,7 @@ def _verify_report(max_n_cover: int, max_n_joint: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_common(args, parser)
     try:
         if args.command == "balls":
             return _run_balls(args, parser)

@@ -1,10 +1,12 @@
 import math
+import multiprocessing
 from functools import partial
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from threshold_lab import analysis
 from threshold_lab.analysis import (
     EULER_GAMMA,
     binomial_tail,
@@ -220,6 +222,40 @@ def test_bisect_bracket_violation():
             seed=0,
             increasing=False,
         )
+
+
+def test_bisect_runs_every_probe_on_one_pool(monkeypatch):
+    opened = []
+
+    class CountingPool(analysis.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", CountingPool)
+    args = (lambda p: partial(_biased_coin, p=p), 0.0, 1.0)
+    kwargs = dict(trials_per_eval=40, tol=0.05, seed=3, increasing=True)
+    pooled = threshold_bisect(*args, workers=2, **kwargs)
+    assert opened == [2]
+    assert len(pooled.rows) > 3
+    serial = threshold_bisect(*args, workers=1, **kwargs)
+    assert pooled.rows == serial.rows
+    assert pooled.p_half == serial.p_half
+
+
+def test_bisect_bracket_violation_shuts_pool_down():
+    with pytest.raises(BracketError):
+        threshold_bisect(
+            lambda p: partial(_step_trial, param=p, knee=2.0),  # always true
+            0.0,
+            1.0,
+            trials_per_eval=20,
+            tol=1e-2,
+            seed=0,
+            increasing=False,
+            workers=2,
+        )
+    assert multiprocessing.active_children() == []
 
 
 def test_loglog_slope_exact_powers():

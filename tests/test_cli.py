@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from threshold_lab import cli
 from threshold_lab.cli import main
 
 
@@ -147,3 +148,74 @@ def test_env_var_workers(tmp_path, monkeypatch):
     b = tmp_path / "b.csv"
     assert _run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "scan --experiment design-cover --n 10 --k 3 --t 2 --lo 0.02 --hi 0.5 "
+        "--tol 0.02 --trials-per-eval 60 --seed 4",
+        "sidon scan --n 2000 --h 2 --g 1 --lo 2 --hi 60 --tol 2 --trials-per-eval 60 --seed 4",
+    ],
+    ids=["design-cover", "sidon"],
+)
+def test_scan_worker_count_does_not_change_bytes(tmp_path, args):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert _run(args.split() + ["--out", str(a), "--workers", "1"]) == 0
+    assert _run(args.split() + ["--out", str(b), "--workers", "2"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+_CHECK = "sidon check --n 500 --h 2 --g 1 --k 6 --trials 30"
+_SCAN = "scan --experiment unionfree --n 8 --lo 0.002 --hi 0.2"
+_SIDON_SCAN = "sidon scan --n 500 --h 2 --g 1 --lo 2 --hi 20"
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Fail the test if any trial runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trials ran before the usage error")
+
+    monkeypatch.setattr(cli, "map_trials", refuse)
+    monkeypatch.setattr(cli, "threshold_bisect", refuse)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        f"{_CHECK} --seed -1",
+        f"{_CHECK} --seed {2**64}",
+        f"{_CHECK} --workers 0",
+        f"{_CHECK} --out {{tmp}}/missing/f.csv",
+        f"{_CHECK} --out {{tmp}}",
+        f"{_SCAN} --tol 0 --trials-per-eval 60",
+        f"{_SIDON_SCAN} --tol 0 --trials-per-eval 60",
+        f"{_SCAN} --tol 0.02 --trials-per-eval 0",
+        f"{_SIDON_SCAN} --tol 1 --trials-per-eval 0",
+    ],
+)
+def test_usage_errors_exit_2_before_any_trial(tmp_path, capsys, no_trials, args):
+    with pytest.raises(SystemExit) as err:
+        _run(args.format(tmp=tmp_path).split())
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "error:" in stderr and "Traceback" not in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_env_workers_exit_2(tmp_path, capsys, monkeypatch, no_trials, value):
+    monkeypatch.setenv("THRESHOLD_LAB_WORKERS", value)
+    with pytest.raises(SystemExit) as err:
+        _run(_CHECK.split() + ["--out", str(tmp_path / "a.csv")])
+    assert err.value.code == 2
+    assert "THRESHOLD_LAB_WORKERS" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("THRESHOLD_LAB_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+    assert cli._default_workers() == 3
