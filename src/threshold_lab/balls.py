@@ -117,9 +117,11 @@ def normalize_waiting_time(t: float, n_boxes: int, lam: int) -> float:
 def overfull_trial(
     stream: np.random.Generator, n_boxes: int, lam: int, n_balls: int
 ) -> tuple[int, bool]:
-    """One packing trial: (overfull-box count X, X == 0)."""
-    state = OccupancyState.from_throws(n_balls, n_boxes, stream)
-    x = count_overfull(state, lam)
+    """One packing trial: (overfull-box count X, X == 0), from occupied boxes only."""
+    if lam < 1:
+        raise ValueError("lam must be at least 1")
+    _, loads = np.unique(throw_balls(n_balls, n_boxes, stream), return_counts=True)
+    x = int(np.count_nonzero(loads >= lam + 1))
     return x, x == 0
 
 

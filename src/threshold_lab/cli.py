@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--h", type=int, required=True)
     q.add_argument("--g", type=int, required=True)
-    q.add_argument("--l", type=int, required=True)
+    q.add_argument("--l", type=_positive_int, required=True)
     _add_common(q)
 
     q = sidon_sub.add_parser("scan", help="bisect the bounded-multiplicity transition over k")
@@ -373,7 +373,8 @@ def _run_perm(args, parser) -> int:
         max_n_cover = args.max_n_cover if args.max_n_cover is not None else max_n + 1
         if max_n < 2 or max_n > 6 or max_n_cover > 7:
             parser.error("verification budgets: 2 <= --max-n <= 6, --max-n-cover <= 7")
-        return _verify_report(max_n_cover, max_n)
+        params = {"max_n": max_n, "max_n_cover": max_n_cover}
+        return _verify_report(args, "perm verify-lemmas", params)
     if not 3 <= args.n <= 9:
         parser.error("sampled transitions support 3 <= n <= 9")
     if args.lam < 1 or args.trials < 1:
@@ -453,24 +454,17 @@ def _run_scan(args, parser) -> int:
     return 0
 
 
-def _verify_report(max_n_cover: int, max_n_joint: int) -> int:
-    ok = True
-    for n, passed, worst, expected in perms.verify_cover_counts(max_n_cover):
-        status = "PASS" if passed else "FAIL"
-        if not passed:
-            ok = False
-        print(f"cover-count n={n}: {status} (every pattern has {expected} covers; saw {worst})")
-    for n, nb_ok, nb_max, joint_ok, joint_max in perms.verify_joint_bounds(max_n_joint):
-        status = "PASS" if nb_ok else "FAIL"
-        if not nb_ok:
-            ok = False
-        print(f"neighborhood n={n}: {status} (max {nb_max} <= {n ** 3})")
-        status = "PASS" if joint_ok else "FAIL"
-        if not joint_ok:
-            ok = False
-        print(f"joint-covers n={n}: {status} (max {joint_max} <= 4)")
-    print("verification:", "all checks passed" if ok else "FAILURES detected")
-    return 0 if ok else 1
+def _verify_report(args, command: str, params: dict) -> int:
+    """Emit one row per exhaustive check; exit 1 when any check fails."""
+    rows = [
+        ("cover-count", n, passed, worst, expected)
+        for n, passed, worst, expected in perms.verify_cover_counts(params["max_n_cover"])
+    ]
+    for n, nb_ok, nb_max, joint_ok, joint_max in perms.verify_joint_bounds(params["max_n"]):
+        rows.append(("neighborhood", n, nb_ok, nb_max, n**3))
+        rows.append(("joint-covers", n, joint_ok, joint_max, 4))
+    _emit(args, command, params, ["check", "n", "ok", "observed", "bound"], rows)
+    return 0 if all(row[2] for row in rows) else 1
 
 
 def main(argv=None) -> int:
@@ -491,7 +485,7 @@ def main(argv=None) -> int:
         if args.command == "scan":
             return _run_scan(args, parser)
         if args.command == "verify":
-            return _verify_report(6, 5)
+            return _verify_report(args, "verify", {"max_n": 5, "max_n_cover": 6})
     except (BudgetExceededError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetExceededError
+from .rng import bernoulli_ranks
 
 __all__ = [
     "DesignParams",
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 _MAX_N = 30
-# largest k-set universe we will enumerate or flip coins over directly
+# largest k-set universe we will enumerate
 _MAX_UNIVERSE = 1 << 22
 # largest family materialized through rank sampling
 _MAX_FAMILY = 1 << 21
@@ -148,10 +149,10 @@ def sample_design_family(
     u = comb(params.n, params.k)
     if u <= _MAX_UNIVERSE:
         universe = _kset_masks(params.n, params.k)
-        chosen = universe[stream.random(u) < p]
+        chosen = universe[bernoulli_ranks(u, p, stream)]
         return KSetFamily(params.n, params.k, tuple(int(m) for m in chosen))
-    # universe too large to flip coins over: draw the family size, then that
-    # many distinct ranks uniformly (the same Bernoulli law)
+    # universe too large to enumerate: the same two draws as bernoulli_ranks,
+    # with the family size checked before any rank is drawn
     size = int(stream.binomial(u, p))
     if size > _MAX_FAMILY:
         raise BudgetExceededError(f"sampled family of {size} members exceeds budget")
@@ -253,7 +254,7 @@ def _profile_from_selection(
     params: DesignParams, p: float, stream: np.random.Generator
 ) -> np.ndarray:
     incidence = _coverage_incidence(params.n, params.k, params.t)
-    selected = stream.random(len(incidence)) < p
+    selected = bernoulli_ranks(len(incidence), p, stream)
     return np.bincount(incidence[selected].ravel(), minlength=params.n_tsets)
 
 

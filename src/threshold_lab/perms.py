@@ -19,6 +19,7 @@ from math import factorial
 import numpy as np
 
 from .errors import BudgetExceededError
+from .rng import bernoulli_ranks
 
 __all__ = [
     "delete_and_flatten",
@@ -237,7 +238,7 @@ def _coverage_counts(
         raise ValueError(f"p must lie in [0, 1], got {p}")
     table = pattern_rank_table(n)
     n_fact = factorial(n)
-    selected = stream.random(len(table)) < p
+    selected = bernoulli_ranks(len(table), p, stream)
     hits = np.bincount(table[selected].ravel(), minlength=n_fact + 1)
     return hits[:n_fact]
 

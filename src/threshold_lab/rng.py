@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "bernoulli_ranks",
     "derive_stream",
     "IndexSubset",
     "sample_bernoulli_subset",
@@ -69,15 +70,35 @@ class IndexSubset:
         return f"IndexSubset(universe_size={self.universe_size}, size={len(self)})"
 
 
-def sample_bernoulli_subset(
+def bernoulli_ranks(
     universe_size: int, p: float, stream: np.random.Generator
-) -> IndexSubset:
-    """Include each index of ``[universe_size]`` independently with probability p."""
+) -> np.ndarray:
+    """Sorted int64 indices of ``[universe_size]``, each kept independently
+    with probability p: a Binomial(universe_size, p) size, then that many
+    distinct uniform ranks (Devroye 1986, ch. XII), the law of one coin per
+    index at O(p * universe_size) draws.  Above p = 1/2 the dropped indices
+    are drawn at 1 - p instead."""
     if universe_size < 0:
         raise ValueError("universe_size must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    mask = stream.random(universe_size) < p
+    q = min(p, 1.0 - p)
+    size = int(stream.binomial(universe_size, q))
+    ranks = np.sort(stream.choice(universe_size, size, replace=False, shuffle=False))
+    if p <= 0.5:
+        return ranks
+    kept = np.ones(universe_size, dtype=bool)
+    kept[ranks] = False
+    return np.flatnonzero(kept)
+
+
+def sample_bernoulli_subset(
+    universe_size: int, p: float, stream: np.random.Generator
+) -> IndexSubset:
+    """Include each index of ``[universe_size]`` independently with probability p."""
+    ranks = bernoulli_ranks(universe_size, p, stream)
+    mask = np.zeros(universe_size, dtype=bool)
+    mask[ranks] = True
     return IndexSubset(universe_size, mask)
 
 

@@ -17,7 +17,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import BudgetExceededError
-from .rng import sample_uniform_subset
+from .rng import bernoulli_ranks, sample_uniform_subset
 
 __all__ = [
     "representation_counts",
@@ -193,22 +193,32 @@ def basis_threshold_p(n: int, h: int, g: int, alpha: float, a_shift: float) -> f
     return radicand ** (1.0 / h)
 
 
-def _bernoulli_elements(
-    stream: np.random.Generator, size: int, p: float, offset: int
-) -> np.ndarray:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return np.nonzero(stream.random(size) < p)[0] + offset
+def _max_multiplicity(elements, h: int) -> int:
+    """``representation_counts(elements, h).max()``, from the C(k + h - 1, h)
+    tuple sums directly when they are no more than the table's h * max + 1 bins."""
+    if h < 2:
+        raise ValueError("h must be at least 2")
+    els = _as_element_array(elements)
+    k = len(els)
+    if k == 0:
+        return 0
+    if comb(k + h - 1, h) > h * int(els[-1]) + 1:
+        return int(representation_counts(els, h).max())
+    # extend each nondecreasing index tuple by every index at or above its last
+    sums, last = els, np.arange(k)
+    for _ in range(h - 1):
+        width = k - last
+        step = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        last = np.repeat(last, width) + step
+        sums = np.repeat(sums, width) + els[last]
+    return int(np.unique(sums, return_counts=True)[1].max())
 
 
 def bh_g_trial(
     stream: np.random.Generator, n: int, h: int, g: int, p: float
 ) -> tuple[int, bool]:
     """One Bernoulli-membership trial over [n]: (max representation count, holds)."""
-    elements = _bernoulli_elements(stream, n, p, offset=1)
-    if len(elements) == 0:
-        return 0, True
-    top = int(representation_counts(elements, h).max())
+    top = _max_multiplicity(bernoulli_ranks(n, p, stream) + 1, h)
     return top, top <= g
 
 
@@ -216,10 +226,7 @@ def bh_g_trial_uniform(
     stream: np.random.Generator, n: int, h: int, g: int, k: int
 ) -> tuple[int, bool]:
     """One fixed-cardinality trial: a uniform k-subset of [n]."""
-    elements = sample_uniform_subset(n, k, stream) + 1
-    if len(elements) == 0:
-        return 0, True
-    top = int(representation_counts(elements, h).max())
+    top = _max_multiplicity(sample_uniform_subset(n, k, stream) + 1, h)
     return top, top <= g
 
 
@@ -227,7 +234,7 @@ def truncated_basis_trial(
     stream: np.random.Generator, n: int, h: int, g: int, alpha: float, p: float
 ) -> tuple[int, bool]:
     """One Bernoulli trial over {0} u [n]: (max count in window, basis holds)."""
-    elements = _bernoulli_elements(stream, n + 1, p, offset=0)
+    elements = bernoulli_ranks(n + 1, p, stream)
     lo = math.ceil(alpha * n)
     hi = math.floor((h - alpha) * n)
     counts = representation_counts(elements, h) if len(elements) else np.zeros(1, np.int64)

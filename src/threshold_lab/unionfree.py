@@ -17,6 +17,7 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetExceededError
+from .rng import bernoulli_ranks
 
 __all__ = [
     "determining_pairs",
@@ -29,7 +30,7 @@ __all__ = [
     "union_collision_trial",
 ]
 
-_MAX_GROUND = 24          # Bernoulli sampling iterates all 2^n masks
+_MAX_GROUND = 24          # a dense selection still allocates O(2^n)
 _MAX_DETERMINING_K = 13   # 3^k map enumeration
 _MAX_BRUTE_N = 4          # exhaustive obstacle census
 _MAX_PAIRS_SQ = 10**8     # |family|^2 budget for collision counting
@@ -172,8 +173,6 @@ def union_collision_trial(
     """One Bernoulli trial over P([n]): (collision count X, X == 0)."""
     if not 1 <= n <= _MAX_GROUND:
         raise ValueError(f"need 1 <= n <= {_MAX_GROUND}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    chosen = np.nonzero(stream.random(1 << n) < p)[0].tolist()
+    chosen = bernoulli_ranks(1 << n, p, stream).tolist()
     x = count_union_collisions(chosen)
     return x, x == 0

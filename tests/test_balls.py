@@ -9,6 +9,7 @@ from threshold_lab.balls import (
     OccupancyState,
     count_overfull,
     normalize_waiting_time,
+    overfull_trial,
     packing_threshold_n,
     waiting_time,
     waiting_time_mean,
@@ -21,6 +22,23 @@ def test_count_overfull_direct():
     assert count_overfull(OccupancyState(np.array([3, 1, 2]), 3, 6), 1) == 2
     with pytest.raises(ValueError):
         count_overfull(OccupancyState(np.array([1]), 1, 1), 0)
+
+
+@pytest.mark.parametrize(
+    "n_boxes, lam, n_balls", [(10**6, 1, 1000), (1000, 1, 60), (50, 2, 200), (7, 1, 0)]
+)
+def test_overfull_trial_matches_bincount(n_boxes, lam, n_balls):
+    # loads of the occupied boxes only against a bincount over every box,
+    # trial by trial on the same streams
+    for i in range(20):
+        x, holds = overfull_trial(derive_stream(3, i), n_boxes, lam, n_balls)
+        state = OccupancyState.from_throws(n_balls, n_boxes, derive_stream(3, i))
+        assert x == count_overfull(state, lam) and holds == (x == 0)
+
+
+def test_overfull_trial_rejects_bad_lambda():
+    with pytest.raises(ValueError):
+        overfull_trial(derive_stream(3, 0), 10, 0, 5)
 
 
 def test_overfull_two_boxes_exhaustive():

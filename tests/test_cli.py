@@ -134,9 +134,27 @@ def test_scan_inverted_bracket_exit_1(tmp_path, capsys):
 
 def test_verify_exit_zero(capsys):
     assert _run(["verify"]) == 0
-    report = capsys.readouterr().out
-    assert "all checks passed" in report
-    assert "cover-count n=6: PASS" in report
+    report = capsys.readouterr().out.splitlines()
+    assert report[1] == "check,n,ok,observed,bound"
+    assert "cover-count,6,1,37,37" in report
+    assert all(line.split(",")[2] == "1" for line in report[2:])
+
+
+def test_verify_lemmas_honours_out_and_format(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert _run("perm verify-lemmas --max-n 3 --format json".split() + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    payload = json.loads(out.read_text())
+    assert payload["command"] == "perm verify-lemmas"
+    assert payload["columns"] == ["check", "n", "ok", "observed", "bound"]
+    assert ["joint-covers", 3, True, 4, 4] in payload["rows"]
+    assert len(payload["rows"]) == 4 + 2 * 2  # cover counts n = 1..4, joints n = 2..3
+
+
+def test_verify_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli.perms, "verify_cover_counts", lambda max_n: [(1, False, 3, 2)])
+    assert _run(["verify"]) == 1
+    assert "cover-count,1,0,3,2" in capsys.readouterr().out.splitlines()
 
 
 def test_env_var_workers(tmp_path, monkeypatch):
@@ -194,6 +212,8 @@ def no_trials(monkeypatch):
         f"{_SIDON_SCAN} --tol 0 --trials-per-eval 60",
         f"{_SCAN} --tol 0.02 --trials-per-eval 0",
         f"{_SIDON_SCAN} --tol 1 --trials-per-eval 0",
+        "sidon enum-bhg --n 20 --h 2 --g 1 --l 0",
+        "sidon enum-bhg --n 20 --h 2 --g 1 --l -1",
     ],
 )
 def test_usage_errors_exit_2_before_any_trial(tmp_path, capsys, no_trials, args):

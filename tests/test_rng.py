@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
+from threshold_lab import designs, perms, sidon, unionfree
 from threshold_lab.rng import (
     IndexSubset,
+    bernoulli_ranks,
     derive_stream,
     sample_bernoulli_subset,
     sample_uniform_subset,
@@ -81,12 +84,9 @@ def test_index_subset_shape_check():
         IndexSubset(5, np.zeros(4, dtype=bool))
 
 
-def test_cardinality_is_binomial():
-    # chi-square goodness of fit at N=50, p=0.2 over 1e4 trials, alpha=1e-3
-    n, p, trials = 50, 0.2, 10_000
-    sizes = np.array(
-        [len(sample_bernoulli_subset(n, p, derive_stream(77, i))) for i in range(trials)]
-    )
+def _binomial_pvalue(sizes: np.ndarray, n: int, p: float) -> float:
+    """Chi-square goodness of fit of selection sizes against Binomial(n, p)."""
+    trials = len(sizes)
     pmf = stats.binom.pmf(np.arange(n + 1), n, p)
     expected = trials * pmf
     # merge low-expectation tails so every bin has expected count >= 5
@@ -100,8 +100,99 @@ def test_cardinality_is_binomial():
     exp = np.array(
         [expected[:lo].sum()] + list(expected[lo : hi + 1]) + [expected[hi + 1 :].sum()]
     )
-    _, pvalue = stats.chisquare(obs, exp * obs.sum() / exp.sum())
-    assert pvalue > 1e-3
+    return stats.chisquare(obs, exp * obs.sum() / exp.sum())[1]
+
+
+def test_cardinality_is_binomial():
+    # chi-square goodness of fit at N=50, p=0.2 over 1e4 trials, alpha=1e-3
+    n, p, trials = 50, 0.2, 10_000
+    sizes = np.array(
+        [len(sample_bernoulli_subset(n, p, derive_stream(77, i))) for i in range(trials)]
+    )
+    assert _binomial_pvalue(sizes, n, p) > 1e-3
+
+
+# (universe, p): ranks drawn sparsely (Floyd), by a partial shuffle, and as
+# the complement of a draw at 1 - p
+_PATHS = [(20_000, 0.001), (50, 0.3), (50, 0.8)]
+
+
+@pytest.mark.parametrize("n, p", _PATHS)
+def test_bernoulli_ranks_size_is_binomial(n, p):
+    sizes = np.array([len(bernoulli_ranks(n, p, derive_stream(78, i))) for i in range(10_000)])
+    assert _binomial_pvalue(sizes, n, p) > 1e-3
+
+
+@pytest.mark.parametrize("n, p", _PATHS)
+def test_bernoulli_ranks_inclusion_is_uniform(n, p):
+    # every index is kept Binomial(trials, p) times; the standardized squares
+    # of the n independent counts sum to about chi-square with n degrees
+    trials = 20_000 if n == 20_000 else 4_000
+    hits = np.zeros(n, dtype=np.int64)
+    for i in range(trials):
+        hits[bernoulli_ranks(n, p, derive_stream(79, i))] += 1
+    stat = np.sum((hits - trials * p) ** 2) / (trials * p * (1 - p))
+    assert stats.chi2.sf(stat, n) > 1e-3
+    assert stats.chi2.cdf(stat, n) > 1e-3
+
+
+def test_bernoulli_ranks_edges():
+    rng = derive_stream(80, 0)
+    assert bernoulli_ranks(10, 0.0, rng).tolist() == []
+    assert bernoulli_ranks(10, 1.0, rng).tolist() == list(range(10))
+    for p in (0.0, 0.3, 1.0):
+        empty = bernoulli_ranks(0, p, rng)
+        assert len(empty) == 0 and empty.dtype == np.int64
+    for p in (0.01, 0.5, 0.9):
+        ranks = bernoulli_ranks(30_000, p, rng)
+        assert ranks.dtype == np.int64
+        assert np.all(np.diff(ranks) > 0) and ranks[0] >= 0 and ranks[-1] < 30_000
+    for p in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError):
+            bernoulli_ranks(10, p, rng)
+    with pytest.raises(ValueError):
+        bernoulli_ranks(-1, 0.5, rng)
+
+
+def _two_sample_pvalue(a, b) -> float:
+    """Chi-square homogeneity of two integer samples, with rare values merged
+    into cells of at least 20 pooled draws."""
+    values, counts = np.unique(np.concatenate([a, b]), return_counts=True)
+    # walk the values in order, closing a cell once it holds 20 pooled draws
+    cell_of, cell, filled = np.zeros(len(values), dtype=np.int64), 0, 0
+    for j, c in enumerate(counts):
+        cell_of[j] = cell
+        filled += c
+        if filled >= 20:
+            cell, filled = cell + 1, 0
+    if filled:  # fold a short last cell into the one before it
+        cell_of[cell_of == cell] = max(cell - 1, 0)
+    table = np.array(
+        [np.bincount(cell_of[np.searchsorted(values, s)], minlength=cell_of[-1] + 1)
+         for s in (a, b)]
+    )
+    assert table.shape[1] >= 3, "X must spread over several cells to be tested"
+    return stats.chi2_contingency(table)[1]
+
+
+@pytest.mark.parametrize(
+    "fast, oracle, kwargs",
+    [
+        (unionfree.union_collision_trial, oracles.union_collision_trial, dict(n=8, p=0.03)),
+        (designs.deficiency_trial, oracles.design_deficiency_trial,
+         dict(params=designs.DesignParams(9, 4, 2), p=0.08)),
+        (designs.deficiency_trial, oracles.design_deficiency_trial,
+         dict(params=designs.DesignParams(9, 4, 2, lam=14), p=0.7)),
+        (perms.pack_trial, oracles.perm_pack_trial, dict(n=5, lam=1, p=0.02)),
+        (sidon.bh_g_trial, oracles.bh_g_trial, dict(n=2000, h=2, g=1, p=0.01)),
+    ],
+    ids=["unionfree-8", "design-9-4-2", "design-9-4-2-complement", "perm-5", "sidon-2000"],
+)
+def test_trial_law_matches_dense_oracle(fast, oracle, kwargs):
+    trials = 2000
+    xs = [fast(derive_stream(81, i), **kwargs)[0] for i in range(trials)]
+    ys = [oracle(derive_stream(82, i), **kwargs)[0] for i in range(trials)]
+    assert _two_sample_pvalue(xs, ys) > 1e-3
 
 
 def test_throw_balls_edges():

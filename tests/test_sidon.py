@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from threshold_lab.errors import BudgetExceededError
 from threshold_lab.rng import derive_stream
 from threshold_lab.sidon import (
+    _max_multiplicity,
     basis_threshold_p,
     bh_g_trial,
     bh_g_trial_uniform,
@@ -189,6 +190,31 @@ def test_basis_threshold_guards():
         basis_threshold_p(10**4, 2, 2, 0.5, -40.0)  # radicand below 0
     with pytest.raises(ValueError):
         basis_threshold_p(10**4, 2, 1, 0.0, 0.0)
+
+
+# element sets on each side of _max_multiplicity's size rule: few elements
+# spread wide (tuple sums formed directly), many packed tight (dense table)
+_SIDES = {
+    "tuples": st.sets(st.integers(0, 10**4), max_size=8).map(lambda s: s | {10**4}),
+    "table": st.sets(st.integers(0, 8), min_size=6),
+}
+
+
+@pytest.mark.parametrize("side", sorted(_SIDES))
+@given(data=st.data(), h=st.sampled_from([2, 3, 4]))
+@settings(max_examples=60, deadline=None)
+def test_max_multiplicity_matches_table(side, data, h):
+    elements = data.draw(_SIDES[side])
+    rule = comb(len(elements) + h - 1, h) <= h * max(elements) + 1
+    assert rule == (side == "tuples")
+    assert _max_multiplicity(elements, h) == int(representation_counts(elements, h).max())
+
+
+def test_max_multiplicity_edges():
+    assert _max_multiplicity([], 2) == 0
+    assert _max_multiplicity([0], 3) == 1
+    with pytest.raises(ValueError):
+        _max_multiplicity([1, 2], 1)
 
 
 def test_trials_report_property():
