@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import EULER_GAMMA
+from .errors import BudgetExceededError
 from .rng import throw_balls
 
 __all__ = [
@@ -23,8 +24,10 @@ __all__ = [
     "normalize_waiting_time",
     "overfull_trial",
     "waiting_trial",
-    "normalized_waiting_trial",
 ]
+
+# largest array of 8-byte draws (one per ball or per box) a trial may allocate
+_MAX_DRAW_BYTES = 1 << 29
 
 
 @dataclass
@@ -50,6 +53,12 @@ def count_overfull(state: OccupancyState, lam: int) -> int:
     return int(np.count_nonzero(state.counts >= lam + 1))
 
 
+def _check_draw_budget(n_draws: int) -> None:
+    """Refuse a trial before it allocates its draws when they exceed the budget."""
+    if 8 * n_draws > _MAX_DRAW_BYTES:
+        raise BudgetExceededError(f"{n_draws} draws exceed the {_MAX_DRAW_BYTES >> 20} MiB memory budget")
+
+
 def packing_threshold_n(n_boxes: int, lam: int) -> float:
     """Ball count at which boxes start to overflow past lam: N^(lam/(lam+1))."""
     if n_boxes < 1 or lam < 1:
@@ -58,30 +67,22 @@ def packing_threshold_n(n_boxes: int, lam: int) -> float:
 
 
 def waiting_time(n_boxes: int, lam: int, stream: np.random.Generator) -> int:
-    """Throw balls until every box holds at least ``lam``; return the count.
+    """Number of balls thrown until every box holds at least ``lam``.
 
-    Balls are drawn lazily in box-count-sized batches, so memory stays O(N)
-    while the waiting time itself is unbounded.  The exact stopping index is
-    recovered inside the final batch from per-box occurrence positions.
+    Sampled exactly in law by Poissonization (Holst 1986, *On birthday,
+    collectors', occupancy and other classical urn problems*): give each box
+    a unit-rate Poisson process of arrivals, so box i receives its lam-th
+    ball at G_i ~ Gamma(lam), independently, and every box is covered at
+    tau = max G_i.  Between G_i and tau box i receives Poisson(tau - G_i)
+    more balls, independently given the G's (strong Markov property), so the
+    throws made by tau number N lam + Poisson(N tau - sum G_i).  O(N) draws
+    and memory, however long the wait.
     """
     if n_boxes < 1 or lam < 1:
         raise ValueError("need n_boxes >= 1 and lam >= 1")
-    counts = np.zeros(n_boxes, dtype=np.int64)
-    thrown = 0
-    chunk = max(n_boxes, 64)
-    while True:
-        balls = throw_balls(chunk, n_boxes, stream)
-        fresh = np.bincount(balls, minlength=n_boxes)
-        if int((counts + fresh).min()) >= lam:
-            deficit = lam - counts
-            need = deficit > 0
-            order = np.argsort(balls, kind="stable")
-            starts = np.concatenate(([0], np.cumsum(fresh)[:-1]))
-            # position of each needy box's final required ball within the batch
-            last_pos = order[starts[need] + deficit[need] - 1]
-            return thrown + int(last_pos.max()) + 1
-        counts += fresh
-        thrown += chunk
+    _check_draw_budget(n_boxes)
+    g = stream.standard_gamma(lam, size=n_boxes)
+    return n_boxes * lam + int(stream.poisson(max(n_boxes * g.max() - g.sum(), 0.0)))
 
 
 def waiting_time_mean(n_boxes: int, lam: int) -> float:
@@ -120,6 +121,7 @@ def overfull_trial(
     """One packing trial: (overfull-box count X, X == 0), from occupied boxes only."""
     if lam < 1:
         raise ValueError("lam must be at least 1")
+    _check_draw_budget(n_balls)
     _, loads = np.unique(throw_balls(n_balls, n_boxes, stream), return_counts=True)
     x = int(np.count_nonzero(loads >= lam + 1))
     return x, x == 0
@@ -128,12 +130,3 @@ def overfull_trial(
 def waiting_trial(stream: np.random.Generator, n_boxes: int, lam: int) -> int:
     """One coverage trial: the waiting time T."""
     return waiting_time(n_boxes, lam, stream)
-
-
-def normalized_waiting_trial(
-    stream: np.random.Generator, n_boxes: int, lam: int
-) -> float:
-    """One coverage trial on the Gumbel axis."""
-    return normalize_waiting_time(
-        waiting_time(n_boxes, lam, stream), n_boxes, lam
-    )

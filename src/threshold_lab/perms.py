@@ -191,10 +191,24 @@ def lex_unrank(rank: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _lex_perms(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The permutations of {0, ..., m-1} in lex order and their Lehmer codes
+    c_j = #{k > j : rho_k < rho_j}, as int8 arrays with one row per position
+    and one column per permutation.  Block f of either is f above the block
+    for m-1, whose permutations have their values >= f lifted by one."""
+    perms = codes = np.zeros((0, 1), dtype=np.int8)
+    for k in range(1, m + 1):
+        first = np.repeat(np.arange(k, dtype=np.int8), perms.shape[1])[None, :]
+        lifted = np.tile(perms, k)
+        perms = np.vstack([first, lifted + (lifted >= first)])
+        codes = np.vstack([first, np.tile(codes, k)])
+    return perms, codes
+
+
 @lru_cache(maxsize=2)
 def pattern_rank_table(n: int) -> np.ndarray:
     """For every permutation of [n+1] (by lex rank), the lex ranks of its
-    covered patterns of [n].
+    covered patterns of [n], as int32.
 
     Row padding: duplicate patterns within a row are replaced by the
     sentinel n!, so a bincount over table rows with n! + 1 bins counts each
@@ -202,32 +216,22 @@ def pattern_rank_table(n: int) -> np.ndarray:
     """
     if not 1 <= n <= _MAX_TABLE_N:
         raise BudgetExceededError(f"pattern table capped at n = {_MAX_TABLE_N}")
-    m = n + 1
-    n_fact = factorial(n)
-    m_fact = factorial(m)
-    perms = np.empty((m_fact, m), dtype=np.int8)
-    row = 0
-    for perm in _all_perms(range(1, m + 1)):  # lex order matches lex_rank
-        perms[row] = perm
-        row += 1
-    weights = np.array([factorial(n - 1 - j) for j in range(n)], dtype=np.int64)
-    cols = []
-    for i in range(m):
-        keep = [j for j in range(m) if j != i]
-        sub = perms[:, keep]
-        flat = (sub - (sub > perms[:, i : i + 1])).astype(np.int16)
-        rank = np.zeros(m_fact, dtype=np.int64)
-        for j in range(n):
-            smaller = np.zeros(m_fact, dtype=np.int64)
-            for k in range(j + 1, n):
-                smaller += flat[:, k] < flat[:, j]
-            rank += smaller * weights[j]
-        cols.append(rank)
-    table = np.stack(cols, axis=1)
+    rho, codes = _lex_perms(n + 1)
+    weights = np.array([factorial(n - 1 - j) for j in range(n)], dtype=np.int32)
+    table = np.empty(codes.T.shape, dtype=np.int32)
+    for i in range(n + 1):
+        # deleting entry i keeps the parent's Lehmer digits, less one left of
+        # i where rho_i < rho_j, and moves those right of i one place left
+        rank = np.zeros(len(table), dtype=np.int32)
+        for j in range(i):
+            rank += (codes[j] - (rho[i] < rho[j])) * weights[j]
+        for j in range(i + 1, n + 1):
+            rank += codes[j] * weights[j - 1]
+        table[:, i] = rank
     table.sort(axis=1)
     dup = np.zeros_like(table, dtype=bool)
     dup[:, 1:] = table[:, 1:] == table[:, :-1]
-    table[dup] = n_fact
+    table[dup] = factorial(n)
     return table
 
 

@@ -1,6 +1,7 @@
 """Slow, obviously correct reference samplers that the fast paths are tested
 against.  Each trial here takes the same arguments as its counterpart in the
-package and selects with one coin per object of the universe."""
+package and selects with one coin per object of the universe, or throws one
+ball at a time."""
 
 from math import factorial
 
@@ -39,3 +40,18 @@ def bh_g_trial(stream, n, h, g, p):
     elements = dense_bernoulli_ranks(n, p, stream) + 1
     top = int(sidon.representation_counts(elements, h).max()) if len(elements) else 0
     return top, top <= g
+
+
+def waiting_time(n_boxes, lam, stream):
+    """Throw balls one at a time until every box holds lam; return the count."""
+    counts = [0] * n_boxes
+    short = n_boxes  # boxes still holding fewer than lam
+    thrown = 0
+    while True:
+        for box in stream.integers(0, n_boxes, size=4 * n_boxes).tolist():
+            thrown += 1
+            counts[box] += 1
+            if counts[box] == lam:
+                short -= 1
+                if short == 0:
+                    return thrown

@@ -3,6 +3,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
+
+import oracles
 
 from threshold_lab.analysis import EULER_GAMMA, run_trials, wilson_interval
 from threshold_lab.balls import (
@@ -72,12 +75,32 @@ def test_waiting_time_two_boxes_mean():
     assert abs(np.mean(ts) - 3.0) < 3 * se
 
 
-def test_waiting_time_monotone_in_lam():
-    for i in range(20):
-        t1 = waiting_time(17, 1, derive_stream(8, i))
-        t2 = waiting_time(17, 2, derive_stream(8, i))
-        t3 = waiting_time(17, 3, derive_stream(8, i))
-        assert t1 <= t2 <= t3
+def test_waiting_time_stochastically_monotone_in_lam():
+    # T >= N lam on every draw, and T grows with lam in law: with k draws per
+    # lam each empirical CDF lies within eps of its own CDF except with
+    # probability 2 exp(-2 k eps^2) (Dvoretzky-Kiefer-Wolfowitz), so the
+    # ordering F_1 >= F_2 >= F_3 can fail on the samples by at most 2 eps
+    n, k, delta = 17, 2000, 1e-6
+    eps = math.sqrt(math.log(2 / delta) / (2 * k))
+    samples = {
+        lam: np.array([waiting_time(n, lam, derive_stream(80 + lam, i)) for i in range(k)])
+        for lam in (1, 2, 3)
+    }
+    for lam, ts in samples.items():
+        assert ts.min() >= n * lam
+    grid = np.arange(max(ts.max() for ts in samples.values()) + 1)
+    cdf = {lam: np.searchsorted(np.sort(ts), grid, side="right") / k for lam, ts in samples.items()}
+    assert (cdf[1] >= cdf[2] - 2 * eps).all()
+    assert (cdf[2] >= cdf[3] - 2 * eps).all()
+
+
+@pytest.mark.parametrize("n, lam", [(20, 1), (20, 2), (50, 3)])
+def test_waiting_time_law_matches_direct_throws(n, lam):
+    # two-sample KS of the Poissonized sampler against throwing one ball at a time
+    k = 2000
+    fast = [waiting_time(n, lam, derive_stream(90, i)) for i in range(k)]
+    slow = [oracles.waiting_time(n, lam, derive_stream(91, i)) for i in range(k)]
+    assert ks_2samp(fast, slow).pvalue > 1e-3
 
 
 def test_overfull_monotone_in_balls():

@@ -70,6 +70,22 @@ def test_sidon_enum_budget_exit_1(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "balls --boxes 10 --lambda 1 --balls 100000000000000 --trials 1",
+        "balls --boxes 1000000000000 --lambda 1 --waiting --trials 2 --workers 2",
+    ],
+)
+def test_balls_memory_budget_exit_1(tmp_path, capsys, args):
+    # the draws are sized in bytes before they are allocated
+    out = tmp_path / "never.csv"
+    assert _run(args.split() + ["--out", str(out)]) == 1
+    assert not out.exists()
+    stderr = capsys.readouterr().err
+    assert "budget" in stderr and "Traceback" not in stderr
+
+
 def test_json_mirrors_csv(tmp_path):
     csv_out = tmp_path / "a.csv"
     json_out = tmp_path / "a.json"

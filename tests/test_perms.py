@@ -2,6 +2,7 @@ import math
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,14 +143,15 @@ def test_pattern_table_fanout():
     assert fanout[0] == 1
 
 
-def test_pattern_table_matches_deletions():
-    n = 4
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pattern_table_matches_deletions(n):
+    # every row against its deletions, flattened and ranked one by one
     table = pattern_rank_table(n)
-    for rank in (0, 7, 63, 100, 119):
+    assert table.dtype == np.int32
+    for rank, row in enumerate(table.tolist()):
         rho = lex_unrank(rank, n + 1)
         expect = sorted({lex_rank(delete_and_flatten(rho, i)) for i in range(1, n + 2)})
-        got = sorted(r for r in table[rank] if r < factorial(n))
-        assert got == expect
+        assert sorted(row) == expect + [factorial(n)] * (n + 1 - len(expect))
 
 
 def test_trials_match_count_undercovered():
