@@ -68,7 +68,6 @@ from .sidon import (
 from .unionfree import (
     count_union_collisions,
     determining_pairs,
-    is_weakly_union_free,
     janson_delta_bound,
     union_obstacle_bruteforce,
     union_obstacle_count,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import EULER_GAMMA
-from .errors import BudgetExceededError
+from .errors import check_budget
 from .rng import throw_balls
 
 __all__ = [
@@ -26,8 +26,11 @@ __all__ = [
     "waiting_trial",
 ]
 
-# largest array of 8-byte draws (one per ball or per box) a trial may allocate
-_MAX_DRAW_BYTES = 1 << 29
+# float64 Gamma(lam) draws resolve the excess N max G - sum G, of order
+# N sqrt(lam), only while it stays far above their rounding, about N lam 2^-52;
+# at lam = 2^32 the margin is 2^36, while near lam = 10^30 the excess is lost
+# and every waiting time reads N lam exactly
+MAX_WAITING_LAM = 1 << 32
 
 
 @dataclass
@@ -53,12 +56,6 @@ def count_overfull(state: OccupancyState, lam: int) -> int:
     return int(np.count_nonzero(state.counts >= lam + 1))
 
 
-def _check_draw_budget(n_draws: int) -> None:
-    """Refuse a trial before it allocates its draws when they exceed the budget."""
-    if 8 * n_draws > _MAX_DRAW_BYTES:
-        raise BudgetExceededError(f"{n_draws} draws exceed the {_MAX_DRAW_BYTES >> 20} MiB memory budget")
-
-
 def packing_threshold_n(n_boxes: int, lam: int) -> float:
     """Ball count at which boxes start to overflow past lam: N^(lam/(lam+1))."""
     if n_boxes < 1 or lam < 1:
@@ -78,9 +75,9 @@ def waiting_time(n_boxes: int, lam: int, stream: np.random.Generator) -> int:
     throws made by tau number N lam + Poisson(N tau - sum G_i).  O(N) draws
     and memory, however long the wait.
     """
-    if n_boxes < 1 or lam < 1:
-        raise ValueError("need n_boxes >= 1 and lam >= 1")
-    _check_draw_budget(n_boxes)
+    if n_boxes < 1 or not 1 <= lam <= MAX_WAITING_LAM:
+        raise ValueError(f"need n_boxes >= 1 and 1 <= lam <= {MAX_WAITING_LAM}")
+    check_budget(8 * n_boxes, f"{n_boxes} Gamma draws")
     g = stream.standard_gamma(lam, size=n_boxes)
     return n_boxes * lam + int(stream.poisson(max(n_boxes * g.max() - g.sum(), 0.0)))
 
@@ -121,7 +118,7 @@ def overfull_trial(
     """One packing trial: (overfull-box count X, X == 0), from occupied boxes only."""
     if lam < 1:
         raise ValueError("lam must be at least 1")
-    _check_draw_budget(n_balls)
+    check_budget(8 * n_balls, f"{n_balls} ball draws")
     _, loads = np.unique(throw_balls(n_balls, n_boxes, stream), return_counts=True)
     x = int(np.count_nonzero(loads >= lam + 1))
     return x, x == 0

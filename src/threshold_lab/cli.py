@@ -264,6 +264,8 @@ def _run_balls(args, parser) -> int:
     if args.boxes < 1 or args.lam < 1 or args.trials < 1:
         parser.error("need --boxes >= 1, --lambda >= 1, --trials >= 1")
     if args.waiting:
+        if args.lam > balls.MAX_WAITING_LAM:
+            parser.error(f"--waiting needs --lambda <= {balls.MAX_WAITING_LAM}")
         fn = partial(balls.waiting_trial, n_boxes=args.boxes, lam=args.lam)
         results = map_trials(fn, args.trials, args.seed, args.workers)
         params = {"boxes": args.boxes, "lambda": args.lam, "mode": "waiting", "trials": args.trials}

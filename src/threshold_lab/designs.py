@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_budget
 from .rng import bernoulli_ranks
 
 __all__ = [
@@ -128,16 +128,25 @@ def _kset_masks(n: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _coverage_incidence(n: int, k: int, t: int) -> np.ndarray:
-    """Row i lists the colex ranks of the t-subsets inside the i-th k-subset."""
-    if comb(n, k) > _MAX_UNIVERSE:
-        raise BudgetExceededError(
-            f"C({n},{k}) = {comb(n, k)} k-sets exceed the enumeration budget"
-        )
-    rows = [
-        [_colex_rank(sub) for sub in combinations(c, t)]
-        for c in combinations(range(n), k)
-    ]
-    return np.asarray(rows, dtype=np.int64)
+    """Row i lists the colex ranks of the t-subsets inside the i-th k-subset.
+
+    Column j takes the members at the j-th t-combination of the k positions;
+    the colex rank of e_0 < ... < e_{t-1} is sum_i C(e_i, i + 1), one gather
+    per position from a table of binomials.
+    """
+    u = comb(n, k)
+    if u > _MAX_UNIVERSE:
+        raise BudgetExceededError(f"C({n},{k}) = {u} k-sets exceed the enumeration budget")
+    # live at once: the table, one gathered temporary of its size, two u x k arrays
+    check_budget(16 * u * (comb(k, t) + k), f"incidence tables of C({n},{k}) x C({k},{t}) ranks")
+    ksets = np.fromiter(
+        chain.from_iterable(combinations(range(n), k)), dtype=np.int64, count=u * k
+    ).reshape(u, k)
+    out = np.zeros((u, comb(k, t)), dtype=np.int64)
+    for i, positions in enumerate(zip(*combinations(range(k), t))):
+        binom = np.array([comb(e, i + 1) for e in range(n)], dtype=np.int64)
+        out += binom[ksets][:, positions]
+    return out
 
 
 def sample_design_family(

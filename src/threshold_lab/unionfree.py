@@ -10,19 +10,17 @@ exhaustive oracle at small n.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_budget
 from .rng import bernoulli_ranks
 
 __all__ = [
     "determining_pairs",
     "count_union_collisions",
-    "is_weakly_union_free",
     "union_obstacle_count",
     "union_obstacle_bruteforce",
     "janson_delta_bound",
@@ -30,10 +28,12 @@ __all__ = [
     "union_collision_trial",
 ]
 
-_MAX_GROUND = 24          # a dense selection still allocates O(2^n)
+_MAX_GROUND = 24          # a p > 1/2 selection draws its O(2^n) complement ranks
 _MAX_DETERMINING_K = 13   # 3^k map enumeration
 _MAX_BRUTE_N = 4          # exhaustive obstacle census
-_MAX_PAIRS_SQ = 10**8     # |family|^2 budget for collision counting
+# bytes per union-matrix cell live at once while counting: at most three
+# int64 arrays (the matrix, a sorted copy or run bounds, run lengths) and a mask
+_PAIR_TABLE_BYTES = 3 * 8 + 1
 
 
 def determining_pairs(u_mask: int) -> list[tuple[int, int]]:
@@ -64,63 +64,41 @@ def determining_pairs(u_mask: int) -> list[tuple[int, int]]:
     return list(zip(r_masks[keep].tolist(), s_masks[keep].tolist()))
 
 
+def _equal_pairs(runs: np.ndarray) -> int:
+    """Unordered pairs of equal entries in a 1-d array whose equal entries are adjacent."""
+    lens = np.diff(np.flatnonzero(np.concatenate(([True], runs[1:] != runs[:-1], [True]))))
+    return int(lens @ (lens - 1)) // 2
+
+
 def count_union_collisions(family) -> int:
     """Count unordered pairs of member-pairs with equal unions and four
     distinct sets.
 
-    Member pairs are grouped by union mask; within a union class of size c
-    all C(c, 2) pairings are candidates and those sharing a member are
-    subtracted (two distinct pairs can share at most one).
+    Cell (a, b) of the m x m union matrix holds A u B, and the diagonal holds
+    distinct negatives that pair with nothing.  A union shared by c member
+    pairs fills 2c off-diagonal cells, so with E counting equal pairs of
+    cells, sum_U C(c_U, 2) = (E(all cells) - C(m, 2)) / 4.  Two distinct
+    pairs with one union share at most one member, and {A, B}, {A, C} share
+    a union exactly when row A holds A u B = A u C, so the pairings sharing
+    a member are the equal pairs inside each row, and are subtracted.
     """
-    masks = list(family)
-    if len(set(masks)) != len(masks):
-        raise ValueError("family contains duplicate members")
+    masks = np.asarray(family, dtype=np.int64)
     m = len(masks)
-    if m * m > _MAX_PAIRS_SQ:
-        raise BudgetExceededError(f"family of {m} members exceeds the pair budget")
+    ordered = np.sort(masks)
+    if m and ordered[0] < 0:
+        raise ValueError("masks must be non-negative")
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("family contains duplicate members")
+    check_budget(_PAIR_TABLE_BYTES * m * m, f"union tables of a {m}-member family")
     if m < 4:
         return 0
-    classes: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for i in range(m):
-        for j in range(i + 1, m):
-            classes[masks[i] | masks[j]].append((masks[i], masks[j]))
-    total = 0
-    for pairs in classes.values():
-        c = len(pairs)
-        if c < 2:
-            continue
-        total += c * (c - 1) // 2
-        member_uses: dict[int, int] = defaultdict(int)
-        for a, b in pairs:
-            member_uses[a] += 1
-            member_uses[b] += 1
-        total -= sum(u * (u - 1) // 2 for u in member_uses.values())
-    return total
-
-
-def is_weakly_union_free(family) -> bool:
-    """True when no four distinct members satisfy A u B = C u D.
-
-    Same grouping as ``count_union_collisions`` with an early exit on the
-    first collision.
-    """
-    masks = list(family)
-    if len(set(masks)) != len(masks):
-        raise ValueError("family contains duplicate members")
-    m = len(masks)
-    if m * m > _MAX_PAIRS_SQ:
-        raise BudgetExceededError(f"family of {m} members exceeds the pair budget")
-    if m < 4:
-        return True
-    classes: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for i in range(m):
-        for j in range(i + 1, m):
-            u = masks[i] | masks[j]
-            for a, b in classes[u]:
-                if a != masks[i] and a != masks[j] and b != masks[i] and b != masks[j]:
-                    return False
-            classes[u].append((masks[i], masks[j]))
-    return True
+    unions = masks[:, None] | masks
+    unions.flat[:: m + 1] = np.arange(-1, -m - 1, -1)
+    classes = (_equal_pairs(np.sort(unions, axis=None)) - m * (m - 1) // 2) // 4
+    if classes == 0:
+        return 0
+    unions.sort(axis=1)  # each row opens with its own negative, so no run spans two rows
+    return classes - _equal_pairs(unions.ravel())
 
 
 def union_obstacle_count(n: int) -> int:
@@ -173,6 +151,5 @@ def union_collision_trial(
     """One Bernoulli trial over P([n]): (collision count X, X == 0)."""
     if not 1 <= n <= _MAX_GROUND:
         raise ValueError(f"need 1 <= n <= {_MAX_GROUND}")
-    chosen = bernoulli_ranks(1 << n, p, stream).tolist()
-    x = count_union_collisions(chosen)
+    x = count_union_collisions(bernoulli_ranks(1 << n, p, stream))
     return x, x == 0

@@ -1,8 +1,10 @@
-"""Slow, obviously correct reference samplers that the fast paths are tested
-against.  Each trial here takes the same arguments as its counterpart in the
-package and selects with one coin per object of the universe, or throws one
-ball at a time."""
+"""Slow, obviously correct references that the fast paths are tested against.
+Each trial here takes the same arguments as its counterpart in the package
+and selects with one coin per object of the universe, or throws one ball at a
+time; the counters and tables loop over pairs and subsets one at a time."""
 
+from collections import defaultdict
+from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -13,6 +15,48 @@ from threshold_lab import designs, perms, sidon, unionfree
 def dense_bernoulli_ranks(universe_size, p, stream):
     """Indices kept by one independent p-coin per index of ``[universe_size]``."""
     return np.nonzero(stream.random(universe_size) < p)[0]
+
+
+def count_union_collisions(family):
+    """Group member pairs by union mask; a union class of c pairs gives C(c, 2)
+    pairings, less those sharing a member (two distinct pairs share at most one)."""
+    masks = list(family)
+    if len(set(masks)) != len(masks):
+        raise ValueError("family contains duplicate members")
+    classes = defaultdict(list)
+    for a, b in combinations(masks, 2):
+        classes[a | b].append((a, b))
+    total = 0
+    for pairs in classes.values():
+        member_uses = defaultdict(int)
+        for a, b in pairs:
+            member_uses[a] += 1
+            member_uses[b] += 1
+        total += len(pairs) * (len(pairs) - 1) // 2
+        total -= sum(u * (u - 1) // 2 for u in member_uses.values())
+    return total
+
+
+def is_weakly_union_free(family):
+    """True when no four distinct members satisfy A u B = C u D; stops at the first."""
+    masks = list(family)
+    if len(set(masks)) != len(masks):
+        raise ValueError("family contains duplicate members")
+    classes = defaultdict(list)
+    for a, b in combinations(masks, 2):
+        if any(len({a, b, c, d}) == 4 for c, d in classes[a | b]):
+            return False
+        classes[a | b].append((a, b))
+    return True
+
+
+def coverage_incidence(n, k, t):
+    """Row i lists the colex ranks of the t-subsets inside the i-th lex k-subset."""
+    rows = [
+        [designs._colex_rank(sub) for sub in combinations(c, t)]
+        for c in combinations(range(n), k)
+    ]
+    return np.asarray(rows, dtype=np.int64)
 
 
 def union_collision_trial(stream, n, p):

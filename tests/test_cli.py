@@ -79,11 +79,30 @@ def test_sidon_enum_budget_exit_1(tmp_path, capsys):
 )
 def test_balls_memory_budget_exit_1(tmp_path, capsys, args):
     # the draws are sized in bytes before they are allocated
+    _assert_budget_exit_1(tmp_path, capsys, args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "unionfree --n 24 --p 0.001 --trials 1",
+        "unionfree --n 24 --p 0.001 --trials 2 --workers 2",
+        "design --n 24 --k 12 --t 6 --mode cover --p 0.5 --trials 1",
+        "design --n 24 --k 12 --t 6 --mode pack --p 0.001 --trials 2 --workers 2",
+    ],
+)
+def test_table_memory_budget_exit_1(tmp_path, capsys, args):
+    # the union matrix of ~16800 members and the 2704156 x 924 incidence
+    # table are sized in bytes before they are allocated
+    _assert_budget_exit_1(tmp_path, capsys, args)
+
+
+def _assert_budget_exit_1(tmp_path, capsys, args):
     out = tmp_path / "never.csv"
     assert _run(args.split() + ["--out", str(out)]) == 1
     assert not out.exists()
     stderr = capsys.readouterr().err
-    assert "budget" in stderr and "Traceback" not in stderr
+    assert "memory budget" in stderr and "Traceback" not in stderr
 
 
 def test_json_mirrors_csv(tmp_path):
@@ -230,6 +249,8 @@ def no_trials(monkeypatch):
         f"{_SIDON_SCAN} --tol 1 --trials-per-eval 0",
         "sidon enum-bhg --n 20 --h 2 --g 1 --l 0",
         "sidon enum-bhg --n 20 --h 2 --g 1 --l -1",
+        # float64 Gamma draws stop resolving the waiting time's spread
+        "balls --boxes 3 --lambda 4294967297 --waiting --trials 1",
     ],
 )
 def test_usage_errors_exit_2_before_any_trial(tmp_path, capsys, no_trials, args):

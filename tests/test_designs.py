@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from threshold_lab.designs import (
     DesignParams,
     KSetFamily,
     _colex_rank,
     _colex_unrank,
+    _coverage_incidence,
     coverage_profile,
     covering_threshold_p,
     deficiency_count,
@@ -22,6 +24,7 @@ from threshold_lab.designs import (
     packing_threshold_p,
     sample_design_family,
 )
+from threshold_lab.errors import BudgetExceededError
 from threshold_lab.rng import derive_stream
 
 
@@ -50,6 +53,30 @@ def test_colex_roundtrip():
     assert ranks == list(range(comb(9, 3)))
     for s in subs:
         assert _colex_unrank(_colex_rank(s), 3) == s
+
+
+def _assert_incidence_matches_oracle(n, k, t):
+    table = _coverage_incidence.__wrapped__(n, k, t)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, oracles.coverage_incidence(n, k, t)), (n, k, t)
+
+
+def test_incidence_matches_row_by_row_colex_ranks_small():
+    for n in range(2, 13):
+        for k in range(2, n + 1):
+            for t in range(1, k):
+                _assert_incidence_matches_oracle(n, k, t)
+
+
+@pytest.mark.parametrize("n,k,t", [(20, 5, 2), (22, 6, 3)])
+def test_incidence_matches_row_by_row_colex_ranks(n, k, t):
+    _assert_incidence_matches_oracle(n, k, t)
+
+
+def test_incidence_memory_budget_checked_before_building():
+    # C(24,12) = 2704156 rows pass the row cap, but 924 ranks a row do not fit
+    with pytest.raises(BudgetExceededError, match="memory budget"):
+        _coverage_incidence.__wrapped__(24, 12, 6)
 
 
 def test_family_validation():

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import is_weakly_union_free
 from threshold_lab.errors import BudgetExceededError
 from threshold_lab.rng import derive_stream
 from threshold_lab.unionfree import (
     count_union_collisions,
     determining_pairs,
-    is_weakly_union_free,
     janson_delta_bound,
     union_collision_trial,
     union_obstacle_bruteforce,
@@ -67,6 +68,8 @@ def test_collisions_known_families():
     assert count_union_collisions([1 << i for i in range(6)]) == 0
     # {1}, {2}, {1,2}, {} : {1} u {2} = {1,2} u {} with four distinct sets
     assert count_union_collisions([0b01, 0b10, 0b11, 0b00]) == 1
+    # {0,3} u {1,2} = {0,1} u {2,3} is the only union any two pairs share
+    assert count_union_collisions([0b1001, 0b0110, 0b0011, 0b1100]) == 1
     # chains of nested sets cannot produce four distinct members
     assert is_weakly_union_free([0b000, 0b001, 0b011])
     assert not is_weakly_union_free([0b01, 0b10, 0b11, 0b00])
@@ -76,6 +79,42 @@ def test_collisions_known_families():
 def test_collisions_duplicate_rejection():
     with pytest.raises(ValueError):
         count_union_collisions([1, 1, 2])
+    with pytest.raises(ValueError):
+        count_union_collisions([-1, 2, 5, 6])
+
+
+@st.composite
+def _families(draw):
+    """Families of 0-60 members over [n], n <= 24, mixing arbitrary members with
+    the empty set, the full set, a nested chain and a dense block."""
+    n = draw(st.integers(1, 24))
+    full = (1 << n) - 1
+    members = draw(st.sets(st.integers(0, full), max_size=60))
+    if draw(st.booleans()):
+        members |= {0, full}
+    if draw(st.booleans()):  # the prefixes of a random order of [n]
+        order = draw(st.permutations(range(n)))
+        members |= {sum(1 << e for e in order[:j]) for j in range(n + 1)}
+    if draw(st.booleans()):  # every subset of the first four elements
+        members |= set(range(min(full, 15) + 1))
+    return draw(st.permutations(sorted(members)))[:60]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families(), st.data())
+def test_collision_count_matches_pair_grouping_oracle(family, data):
+    assert count_union_collisions(family) == oracles.count_union_collisions(family)
+    assert count_union_collisions(np.array(family, dtype=np.int64)) == oracles.count_union_collisions(family)
+    if family:
+        dup = data.draw(st.sampled_from(family))
+        with pytest.raises(ValueError, match="duplicate"):
+            count_union_collisions(family + [dup])
+
+
+def test_collision_count_memory_budget():
+    # 25 bytes a cell of the m x m union tables is 2.5 GB at m = 10^4
+    with pytest.raises(BudgetExceededError, match="memory budget"):
+        count_union_collisions(np.arange(10**4))
 
 
 def test_collision_flag_agreement_random():
