@@ -31,18 +31,14 @@ from .balls import (
 )
 from .designs import (
     DesignParams,
-    KSetFamily,
-    coverage_profile,
     covering_threshold_p,
     deficiency_count,
     expected_deficient,
     overfull_count,
     packing_threshold_p,
-    sample_design_family,
 )
 from .errors import BracketError, BudgetExceededError
 from .perms import (
-    count_undercovered,
     covering_set,
     covers,
     delete_and_flatten,
@@ -50,13 +46,7 @@ from .perms import (
     joint_covers,
     packing_threshold_bounds,
 )
-from .rng import (
-    IndexSubset,
-    derive_stream,
-    sample_bernoulli_subset,
-    sample_uniform_subset,
-    throw_balls,
-)
+from .rng import bernoulli_ranks, derive_stream, throw_balls
 from .sidon import (
     basis_threshold_p,
     count_equal_sum_tuples,

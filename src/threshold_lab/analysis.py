@@ -1,8 +1,10 @@
 """Shared numerical and statistical machinery.
 
-Exact binomial tail sums, Poisson goodness-of-fit in total variation,
-Gumbel empirical-CDF distance, Monte Carlo aggregation with Wilson
-intervals, stochastic bisection for transition location, and log-log
+The coverage core of the designs, perms and balls models (a bincount of the
+selected table rows, then the targets covered at most lam - 1 or at least
+lam + 1 times), exact binomial tail sums, Poisson goodness-of-fit in total
+variation, Gumbel empirical-CDF distance, Monte Carlo aggregation with
+Wilson intervals, stochastic bisection for transition location, and log-log
 growth-rate regression.
 """
 
@@ -17,12 +19,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import BracketError
-from .rng import derive_stream
+from .rng import bernoulli_ranks, derive_stream
 
 __all__ = [
     "EULER_GAMMA",
     "MonteCarloSummary",
     "ThresholdScan",
+    "selected_row_counts",
+    "deficiency_count",
+    "overfull_count",
     "binomial_tail",
     "binomial_tail_term_ratio",
     "poisson_tv_distance",
@@ -40,6 +45,28 @@ EULER_GAMMA = 0.57721566490153286061
 _LAST_TERM_T1_MAX = 20
 
 _Z95 = 1.959963984540054
+
+
+def selected_row_counts(
+    table: np.ndarray, n_bins: int, p: float, stream: np.random.Generator
+) -> np.ndarray:
+    """Occurrences of each value in [n_bins] over the rows of ``table`` that
+    ``bernoulli_ranks`` keeps with probability p: one bincount of the selection."""
+    return np.bincount(table[bernoulli_ranks(len(table), p, stream)].ravel(), minlength=n_bins)
+
+
+def deficiency_count(profile: np.ndarray, lam: int) -> int:
+    """Number of targets covered at most lam - 1 times."""
+    if lam < 1:
+        raise ValueError("lam must be at least 1")
+    return int(np.count_nonzero(profile <= lam - 1))
+
+
+def overfull_count(profile: np.ndarray, lam: int) -> int:
+    """Number of targets covered at least lam + 1 times."""
+    if lam < 1:
+        raise ValueError("lam must be at least 1")
+    return int(np.count_nonzero(profile >= lam + 1))
 
 
 def _log_binom_pmf(n: int, j: int, p: float) -> float:

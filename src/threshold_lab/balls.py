@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import EULER_GAMMA
+from .analysis import EULER_GAMMA, overfull_count
 from .errors import check_budget
 from .rng import throw_balls
 
@@ -51,9 +51,7 @@ class OccupancyState:
 
 def count_overfull(state: OccupancyState, lam: int) -> int:
     """Number of boxes holding at least lam + 1 balls."""
-    if lam < 1:
-        raise ValueError("lam must be at least 1")
-    return int(np.count_nonzero(state.counts >= lam + 1))
+    return overfull_count(state.counts, lam)
 
 
 def packing_threshold_n(n_boxes: int, lam: int) -> float:
@@ -116,11 +114,9 @@ def overfull_trial(
     stream: np.random.Generator, n_boxes: int, lam: int, n_balls: int
 ) -> tuple[int, bool]:
     """One packing trial: (overfull-box count X, X == 0), from occupied boxes only."""
-    if lam < 1:
-        raise ValueError("lam must be at least 1")
     check_budget(8 * n_balls, f"{n_balls} ball draws")
     _, loads = np.unique(throw_balls(n_balls, n_boxes, stream), return_counts=True)
-    x = int(np.count_nonzero(loads >= lam + 1))
+    x = overfull_count(loads, lam)
     return x, x == 0
 
 

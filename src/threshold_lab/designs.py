@@ -2,9 +2,9 @@
 
 A random family selects every k-subset independently with probability p.
 Each t-subset is then covered by some number of selected supersets; the
-deficiency and overfull counts below drive the covering and packing
-experiments, and ``expected_deficient`` evaluates the matching exact
-binomial expectation.
+deficiency and overfull counts of the shared coverage core (``analysis``)
+drive the covering and packing experiments, and ``expected_deficient``
+evaluates the matching exact binomial expectation.
 """
 
 from __future__ import annotations
@@ -17,14 +17,11 @@ from math import comb
 
 import numpy as np
 
+from .analysis import deficiency_count, overfull_count, selected_row_counts
 from .errors import BudgetExceededError, check_budget
-from .rng import bernoulli_ranks
 
 __all__ = [
     "DesignParams",
-    "KSetFamily",
-    "sample_design_family",
-    "coverage_profile",
     "deficiency_count",
     "overfull_count",
     "covering_threshold_p",
@@ -37,8 +34,6 @@ __all__ = [
 _MAX_N = 30
 # largest k-set universe we will enumerate
 _MAX_UNIVERSE = 1 << 22
-# largest family materialized through rank sampling
-_MAX_FAMILY = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -68,50 +63,12 @@ class DesignParams:
         return comb(self.n - self.t, self.k - self.t)
 
 
-@dataclass(frozen=True)
-class KSetFamily:
-    """A duplicate-free family of k-subsets of [n], stored as n-bit masks."""
-
-    n: int
-    k: int
-    masks: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.masks)) != len(self.masks):
-            raise ValueError("family contains duplicate members")
-        for m in self.masks:
-            if m >> self.n:
-                raise ValueError("mask exceeds the ground set")
-            if bin(m).count("1") != self.k:
-                raise ValueError("member is not a k-subset")
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in set(self.masks)
-
-
-def _colex_rank(sub: tuple[int, ...]) -> int:
-    """Colexicographic rank of a sorted subset of non-negative integers."""
-    return sum(comb(e, i + 1) for i, e in enumerate(sub))
-
-
-def _colex_unrank(rank: int, k: int) -> tuple[int, ...]:
-    out = []
-    r = rank
-    for i in range(k, 0, -1):
-        e = i - 1
-        while comb(e + 1, i) <= r:
-            e += 1
-        out.append(e)
-        r -= comb(e, i)
-    return tuple(reversed(out))
-
-
 @lru_cache(maxsize=8)
 def _kset_masks(n: int, k: int) -> np.ndarray:
-    """All k-subset masks of [n] in lexicographic member order."""
+    """All k-subset masks of [n] in lexicographic member order.
+
+    No trial calls this; it stays while ``bench/layers.py`` clears its cache.
+    """
     u = comb(n, k)
     if u > _MAX_UNIVERSE:
         raise BudgetExceededError(
@@ -147,64 +104,6 @@ def _coverage_incidence(n: int, k: int, t: int) -> np.ndarray:
         binom = np.array([comb(e, i + 1) for e in range(n)], dtype=np.int64)
         out += binom[ksets][:, positions]
     return out
-
-
-def sample_design_family(
-    params: DesignParams, p: float, stream: np.random.Generator
-) -> KSetFamily:
-    """Select every k-subset of [n] independently with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    u = comb(params.n, params.k)
-    if u <= _MAX_UNIVERSE:
-        universe = _kset_masks(params.n, params.k)
-        chosen = universe[bernoulli_ranks(u, p, stream)]
-        return KSetFamily(params.n, params.k, tuple(int(m) for m in chosen))
-    # universe too large to enumerate: the same two draws as bernoulli_ranks,
-    # with the family size checked before any rank is drawn
-    size = int(stream.binomial(u, p))
-    if size > _MAX_FAMILY:
-        raise BudgetExceededError(f"sampled family of {size} members exceeds budget")
-    ranks: set[int] = set()
-    while len(ranks) < size:
-        ranks.add(int(stream.integers(0, u)))
-    masks = []
-    for r in sorted(ranks):
-        m = 0
-        for e in _colex_unrank(r, params.k):
-            m |= 1 << e
-        masks.append(m)
-    return KSetFamily(params.n, params.k, tuple(masks))
-
-
-def coverage_profile(family: KSetFamily, params: DesignParams) -> np.ndarray:
-    """Per-t-subset coverage counts, indexed by colex rank.
-
-    Iterates family members over their C(k, t) contained t-subsets, which is
-    the cheap direction for the sparse families that arise near thresholds.
-    """
-    if family.n != params.n or family.k != params.k:
-        raise ValueError("family and params disagree on (n, k)")
-    counts = np.zeros(params.n_tsets, dtype=np.int64)
-    for mask in family.masks:
-        bits = tuple(e for e in range(params.n) if mask >> e & 1)
-        for sub in combinations(bits, params.t):
-            counts[_colex_rank(sub)] += 1
-    return counts
-
-
-def deficiency_count(profile: np.ndarray, lam: int) -> int:
-    """Number of t-subsets covered at most lam - 1 times."""
-    if lam < 1:
-        raise ValueError("lam must be at least 1")
-    return int(np.count_nonzero(profile <= lam - 1))
-
-
-def overfull_count(profile: np.ndarray, lam: int) -> int:
-    """Number of t-subsets covered at least lam + 1 times."""
-    if lam < 1:
-        raise ValueError("lam must be at least 1")
-    return int(np.count_nonzero(profile >= lam + 1))
 
 
 def covering_threshold_p(params: DesignParams, r: float, clamp: bool = False) -> float:
@@ -262,9 +161,9 @@ def expected_deficient(params: DesignParams, p: float) -> float:
 def _profile_from_selection(
     params: DesignParams, p: float, stream: np.random.Generator
 ) -> np.ndarray:
+    """Per-t-subset coverage counts of one Bernoulli(p) family, by colex rank."""
     incidence = _coverage_incidence(params.n, params.k, params.t)
-    selected = bernoulli_ranks(len(incidence), p, stream)
-    return np.bincount(incidence[selected].ravel(), minlength=params.n_tsets)
+    return selected_row_counts(incidence, params.n_tsets, p, stream)
 
 
 def deficiency_trial(

@@ -11,15 +11,14 @@ symmetric group.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
 from itertools import permutations as _all_perms
 from math import factorial
 
 import numpy as np
 
+from .analysis import deficiency_count, overfull_count, selected_row_counts
 from .errors import BudgetExceededError
-from .rng import bernoulli_ranks
 
 __all__ = [
     "delete_and_flatten",
@@ -27,7 +26,6 @@ __all__ = [
     "covering_set",
     "joint_covers",
     "joint_cover_neighborhood",
-    "count_undercovered",
     "covering_threshold_p",
     "packing_threshold_bounds",
     "lex_rank",
@@ -109,26 +107,6 @@ def joint_cover_neighborhood(pi: tuple[int, ...]) -> set[tuple[int, ...]]:
             out.add(delete_and_flatten(rho, i))
     out.discard(pi)
     return out
-
-
-def count_undercovered(cover_family, n: int, lam: int) -> int:
-    """Number of patterns of [n] covered by fewer than lam family members.
-
-    Accumulates from each selected permutation down to its at most n+1
-    distinct patterns, so the n! pattern space is never enumerated.
-    """
-    if lam < 1:
-        raise ValueError("lam must be at least 1")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    hits: Counter = Counter()
-    for rho in cover_family:
-        if len(rho) != n + 1:
-            raise ValueError("family member has wrong length")
-        patterns = {delete_and_flatten(rho, i) for i in range(1, n + 2)}
-        hits.update(patterns)
-    covered = sum(1 for c in hits.values() if c >= lam)
-    return factorial(n) - covered
 
 
 def covering_threshold_p(n: int, lam: int, r: float, clamp: bool = False) -> float:
@@ -238,21 +216,16 @@ def pattern_rank_table(n: int) -> np.ndarray:
 def _coverage_counts(
     stream: np.random.Generator, n: int, p: float
 ) -> np.ndarray:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    table = pattern_rank_table(n)
-    n_fact = factorial(n)
-    selected = bernoulli_ranks(len(table), p, stream)
-    hits = np.bincount(table[selected].ravel(), minlength=n_fact + 1)
-    return hits[:n_fact]
+    """Per-pattern cover counts of one Bernoulli(p) selection, by lex rank;
+    the sentinel bin n! of the table's padding is dropped."""
+    return selected_row_counts(pattern_rank_table(n), factorial(n) + 1, p, stream)[:-1]
 
 
 def cover_trial(
     stream: np.random.Generator, n: int, lam: int, p: float
 ) -> tuple[int, bool]:
     """One covering trial: (count of patterns covered < lam times, X == 0)."""
-    counts = _coverage_counts(stream, n, p)
-    x = int(np.count_nonzero(counts < lam))
+    x = deficiency_count(_coverage_counts(stream, n, p), lam)
     return x, x == 0
 
 
@@ -260,8 +233,7 @@ def pack_trial(
     stream: np.random.Generator, n: int, lam: int, p: float
 ) -> tuple[int, bool]:
     """One packing trial: (count of patterns covered > lam times, X == 0)."""
-    counts = _coverage_counts(stream, n, p)
-    x = int(np.count_nonzero(counts > lam))
+    x = overfull_count(_coverage_counts(stream, n, p), lam)
     return x, x == 0
 
 

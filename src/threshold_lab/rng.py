@@ -13,9 +13,6 @@ import numpy as np
 __all__ = [
     "bernoulli_ranks",
     "derive_stream",
-    "IndexSubset",
-    "sample_bernoulli_subset",
-    "sample_uniform_subset",
     "throw_balls",
 ]
 
@@ -40,36 +37,6 @@ def derive_stream(master: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(master << 64) | trial_index))
 
 
-class IndexSubset:
-    """A subset of ``{0, ..., universe_size - 1}`` with O(1) membership tests."""
-
-    def __init__(self, universe_size: int, mask: np.ndarray):
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (universe_size,):
-            raise ValueError("mask length must equal universe_size")
-        self.universe_size = universe_size
-        self.mask = mask
-        self._indices: np.ndarray | None = None
-
-    @property
-    def indices(self) -> np.ndarray:
-        if self._indices is None:
-            self._indices = np.nonzero(self.mask)[0]
-        return self._indices
-
-    def __len__(self) -> int:
-        return int(self.mask.sum())
-
-    def __contains__(self, index: int) -> bool:
-        return 0 <= index < self.universe_size and bool(self.mask[index])
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __repr__(self) -> str:
-        return f"IndexSubset(universe_size={self.universe_size}, size={len(self)})"
-
-
 def bernoulli_ranks(
     universe_size: int, p: float, stream: np.random.Generator
 ) -> np.ndarray:
@@ -90,29 +57,6 @@ def bernoulli_ranks(
     kept = np.ones(universe_size, dtype=bool)
     kept[ranks] = False
     return np.flatnonzero(kept)
-
-
-def sample_bernoulli_subset(
-    universe_size: int, p: float, stream: np.random.Generator
-) -> IndexSubset:
-    """Include each index of ``[universe_size]`` independently with probability p."""
-    ranks = bernoulli_ranks(universe_size, p, stream)
-    mask = np.zeros(universe_size, dtype=bool)
-    mask[ranks] = True
-    return IndexSubset(universe_size, mask)
-
-
-def sample_uniform_subset(
-    universe_size: int, k: int, stream: np.random.Generator
-) -> np.ndarray:
-    """Draw a uniformly random k-subset of ``{0, ..., universe_size - 1}``.
-
-    Partial-shuffle sampling; returns the chosen indices sorted ascending.
-    """
-    if not 0 <= k <= universe_size:
-        raise ValueError("need 0 <= k <= universe_size")
-    picked = stream.choice(universe_size, size=k, replace=False)
-    return np.sort(picked)
 
 
 def throw_balls(

@@ -16,8 +16,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .rng import bernoulli_ranks, sample_uniform_subset
+from .errors import BudgetExceededError, check_budget
+from .rng import bernoulli_ranks
 
 __all__ = [
     "representation_counts",
@@ -27,7 +27,6 @@ __all__ = [
     "sidon_threshold_k",
     "basis_threshold_p",
     "bh_g_trial",
-    "bh_g_trial_uniform",
     "truncated_basis_trial",
 ]
 
@@ -63,6 +62,10 @@ def representation_counts(elements, h: int) -> np.ndarray:
         return np.zeros(1, dtype=np.int64)
     top = int(els[-1]) * h
     if h == 2:
+        # live at once: up to four arrays of top + 1 bins, and two blocks of
+        # pair sums (the one being formed and the one before it)
+        block = min(_PAIR_BLOCK, len(els)) * len(els)
+        check_budget(8 * (4 * (top + 1) + 2 * block), f"pair-sum tables over {top + 1} sums")
         # ordered pair sums plus the diagonal, halved, give multiset counts
         ordered = np.zeros(top + 1, dtype=np.int64)
         for a in range(0, len(els), _PAIR_BLOCK):
@@ -71,6 +74,7 @@ def representation_counts(elements, h: int) -> np.ndarray:
             ordered += np.bincount(sums, minlength=top + 1)
         diagonal = np.bincount(2 * els, minlength=top + 1)
         return (ordered + diagonal) // 2
+    check_budget(8 * (h + 1) * (top + 1), f"representation tables over {top + 1} sums")
     # complete-knapsack recurrence over elements; exact integer counts
     table = np.zeros((h + 1, top + 1), dtype=np.int64)
     table[0, 0] = 1
@@ -202,8 +206,11 @@ def _max_multiplicity(elements, h: int) -> int:
     k = len(els)
     if k == 0:
         return 0
-    if comb(k + h - 1, h) > h * int(els[-1]) + 1:
+    n_tuples = comb(k + h - 1, h)
+    if n_tuples > h * int(els[-1]) + 1:
         return int(representation_counts(els, h).max())
+    # live at once: about five int64 arrays of one entry per tuple
+    check_budget(40 * n_tuples, f"{n_tuples} tuple sums")
     # extend each nondecreasing index tuple by every index at or above its last
     sums, last = els, np.arange(k)
     for _ in range(h - 1):
@@ -219,14 +226,6 @@ def bh_g_trial(
 ) -> tuple[int, bool]:
     """One Bernoulli-membership trial over [n]: (max representation count, holds)."""
     top = _max_multiplicity(bernoulli_ranks(n, p, stream) + 1, h)
-    return top, top <= g
-
-
-def bh_g_trial_uniform(
-    stream: np.random.Generator, n: int, h: int, g: int, k: int
-) -> tuple[int, bool]:
-    """One fixed-cardinality trial: a uniform k-subset of [n]."""
-    top = _max_multiplicity(sample_uniform_subset(n, k, stream) + 1, h)
     return top, top <= g
 
 

@@ -3,9 +3,9 @@ Each trial here takes the same arguments as its counterpart in the package
 and selects with one coin per object of the universe, or throws one ball at a
 time; the counters and tables loop over pairs and subsets one at a time."""
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -50,13 +50,37 @@ def is_weakly_union_free(family):
     return True
 
 
+def colex_rank(sub):
+    """Colexicographic rank of a sorted subset of non-negative integers."""
+    return sum(comb(e, i + 1) for i, e in enumerate(sub))
+
+
 def coverage_incidence(n, k, t):
     """Row i lists the colex ranks of the t-subsets inside the i-th lex k-subset."""
-    rows = [
-        [designs._colex_rank(sub) for sub in combinations(c, t)]
-        for c in combinations(range(n), k)
-    ]
+    rows = [[colex_rank(sub) for sub in combinations(c, t)] for c in combinations(range(n), k)]
     return np.asarray(rows, dtype=np.int64)
+
+
+def _mask(members):
+    return sum(1 << e for e in members)
+
+
+def tset_profile(ranks, n, k, t):
+    """Coverage count of every t-subset of [n], in colex order: how many of the
+    k-subsets at the given lex ranks contain it, tested mask against mask."""
+    kmasks = [_mask(c) for c in combinations(range(n), k)]
+    chosen = [kmasks[r] for r in ranks]
+    tmasks = [_mask(s) for s in sorted(combinations(range(n), t), key=lambda s: s[::-1])]
+    return np.array([sum(m & tm == tm for m in chosen) for tm in tmasks], dtype=np.int64)
+
+
+def count_undercovered(cover_family, n, lam):
+    """Number of patterns of [n] covered by fewer than lam family members,
+    from each member's set of single-deletion patterns."""
+    hits = Counter()
+    for rho in cover_family:
+        hits.update({perms.delete_and_flatten(rho, i) for i in range(1, n + 2)})
+    return factorial(n) - sum(1 for c in hits.values() if c >= lam)
 
 
 def union_collision_trial(stream, n, p):

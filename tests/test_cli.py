@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -89,11 +90,14 @@ def test_balls_memory_budget_exit_1(tmp_path, capsys, args):
         "unionfree --n 24 --p 0.001 --trials 2 --workers 2",
         "design --n 24 --k 12 --t 6 --mode cover --p 0.5 --trials 1",
         "design --n 24 --k 12 --t 6 --mode pack --p 0.001 --trials 2 --workers 2",
+        "sidon basis --n 2000000000 --h 2 --g 2 --alpha 0.5 --A 0 --trials 1",
+        "sidon check --n 1000000000 --h 3 --g 1 --k 2000 --trials 2 --workers 2",
     ],
 )
 def test_table_memory_budget_exit_1(tmp_path, capsys, args):
-    # the union matrix of ~16800 members and the 2704156 x 924 incidence
-    # table are sized in bytes before they are allocated
+    # the union matrix of ~16800 members, the 2704156 x 924 incidence table,
+    # a 4*10^9-bin pair-sum table and ~1.3*10^9 tuple sums are sized in bytes
+    # before they are allocated
     _assert_budget_exit_1(tmp_path, capsys, args)
 
 
@@ -249,6 +253,7 @@ def no_trials(monkeypatch):
         f"{_SIDON_SCAN} --tol 1 --trials-per-eval 0",
         "sidon enum-bhg --n 20 --h 2 --g 1 --l 0",
         "sidon enum-bhg --n 20 --h 2 --g 1 --l -1",
+        "perm verify-lemmas --max-n 2 --max-n-cover -3",
         # float64 Gamma draws stop resolving the waiting time's spread
         "balls --boxes 3 --lambda 4294967297 --waiting --trials 1",
     ],
@@ -276,3 +281,62 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
     monkeypatch.delenv("THRESHOLD_LAB_WORKERS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
     assert cli._default_workers() == 3
+
+
+# sha256 of each line's output bytes at --workers 1; a sampler change that
+# moves any of them updates the digest here and logs the output change
+_GOLDEN = [
+    ("balls --boxes 100 --lambda 1 --balls 40 --trials 5 --seed 1",
+     "5bceb3ba297dd6ebe59d244c2bb60ca71a71f813f12a5a812b719173a6c0ae80"),
+    ("balls --boxes 1000 --lambda 2 --waiting --trials 5 --seed 7",
+     "7bdcd879253c90fbf9b23326ba3a7adb571d35805a6fdd3186ef50acf6436e81"),
+    ("balls --boxes 50 --lambda 3 --waiting --trials 4 --seed 8 --format json",
+     "1af06ed7f98df9fd691db512ec2ded03138b25078af00a4882bfcb0b4705e1f5"),
+    ("design --n 10 --k 3 --t 2 --mode cover --r 1 --trials 20 --seed 11",
+     "9d249069edc6b7f32d2296b46dc98d791e2d61beb04a4630e4a41dc24eb6b82d"),
+    ("design --n 9 --k 4 --t 2 --lambda 2 --mode cover --p 0.2 --trials 10 --seed 13",
+     "2fab9eefc33260be1cf745e6ae2a609d29e175c7ede237dcdd34b369a7ae07de"),
+    ("design --n 10 --k 4 --t 2 --lambda 2 --mode pack --p 0.05 --trials 20 --seed 12"
+     " --format json",
+     "aea3031f6551cb5fbf5e76bb99a0cef252acbe0464bba4689682df0800f3cf73"),
+    ("sidon check --n 500 --h 2 --g 1 --k 6 --trials 30 --seed 5",
+     "ce86abb66343bd3419fda87956d31c70ea5a01eb4774d9079cff255f006eecfa"),
+    ("sidon check --n 200 --h 3 --g 1 --k 5 --trials 10 --seed 6 --format json",
+     "32624399e91167a2872eab8ecd860294307e541038aad3cda49310b94e42950d"),
+    ("sidon basis --n 200 --h 2 --g 2 --alpha 0.5 --A 0 --trials 10 --seed 3",
+     "39b1342c80c9c10c229c854a0a1893d86a7ee009e3491aa01804bf6da4c012f3"),
+    ("sidon enum-bhg --n 20 --h 2 --g 1 --l 4 --format json",
+     "7766d6ebd1d903f1df8b71368aca4fac382a189a7058526191e7814882a68e07"),
+    ("sidon scan --n 2000 --h 2 --g 1 --lo 2 --hi 60 --tol 2 --trials-per-eval 60 --seed 4",
+     "6ff64df9660ba4fe1a6e954705334c470b6c2753cedd4d788bef7605ba39643d"),
+    ("perm verify-lemmas --max-n 3",
+     "72e98746e510f96dc415025859574776d6baed3a9e8d7077faf2f8c86ff28114"),
+    ("perm verify-lemmas --max-n 3 --max-n-cover 2 --format json",
+     "b3d22cbb4451c48b594e76a04885f89afcbde3e704773c9dc6547fb6f940b96b"),
+    ("perm cover --n 5 --lambda 1 --r 0 --trials 10 --seed 8",
+     "36a8e22555e8ebb5a22c498b5aeac883e416345a1b2068bf3ce2501d7a812ac8"),
+    ("perm pack --n 5 --lambda 1 --p 0.02 --trials 10 --seed 9 --format json",
+     "fea1e70e1088061ae0fea7f7c4c7122db64ff8bd8c6bb197d7fe3ec2216760ae"),
+    ("unionfree --n 8 --p 0.01 --trials 6 --seed 3",
+     "abb99c9dc6d54cbc76453929c648263b5f09394e7d688f0e341fa1f07abc5ff0"),
+    ("unionfree --n 4 --p 0.3 --trials 5 --exact-obstacles --seed 2 --format json",
+     "6ddcd0e527f1c2e176c17baab242a8bda30e3f7fc66b4a7e52f81c68b80e501c"),
+    ("scan --experiment unionfree --n 8 --lo 0.002 --hi 0.2 --tol 0.02 --trials-per-eval 60"
+     " --seed 2",
+     "48c2c1955a5fbf6dc36745bb915b4882b4e48cc5ebefb27936d164a763f39754"),
+    ("scan --experiment design-cover --n 10 --k 3 --t 2 --lo 0.02 --hi 0.5 --tol 0.02"
+     " --trials-per-eval 60 --seed 4 --format json",
+     "dd64eb0ba457afe6aa1ad0fdb5e6e495412182bb04ced68ed03bac65e7da9d21"),
+    ("scan --experiment design-pack --n 8 --k 3 --t 2 --lo 0.001 --hi 0.5 --tol 0.05"
+     " --trials-per-eval 60 --seed 5",
+     "1aaf3b17b1b1f776c5cbc6a7b9e0775b0401966630e17ed61a83a62db6892a94"),
+    ("verify --format json",
+     "e776a1004ff368ed631cd62e435b1aacc806523cef32bbadedd2460590edf799"),
+]
+
+
+@pytest.mark.parametrize("args, digest", _GOLDEN, ids=range(len(_GOLDEN)))
+def test_output_bytes_match_recorded_digests(tmp_path, args, digest):
+    out = tmp_path / "out"
+    assert _run(args.split() + ["--workers", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args

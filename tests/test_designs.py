@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from threshold_lab.designs import (
     DesignParams,
-    KSetFamily,
-    _colex_rank,
-    _colex_unrank,
     _coverage_incidence,
-    coverage_profile,
+    _profile_from_selection,
     covering_threshold_p,
     deficiency_count,
     deficiency_trial,
@@ -22,17 +19,9 @@ from threshold_lab.designs import (
     overfull_count,
     overfull_trial,
     packing_threshold_p,
-    sample_design_family,
 )
 from threshold_lab.errors import BudgetExceededError
-from threshold_lab.rng import derive_stream
-
-
-def _mask(elems):
-    m = 0
-    for e in elems:
-        m |= 1 << e
-    return m
+from threshold_lab.rng import bernoulli_ranks, derive_stream
 
 
 def test_params_validation():
@@ -47,12 +36,10 @@ def test_params_validation():
         DesignParams(12, 4, 2, 0)
 
 
-def test_colex_roundtrip():
+def test_colex_rank_numbers_subsets():
     subs = list(combinations(range(9), 3))
-    ranks = sorted(_colex_rank(s) for s in subs)
+    ranks = sorted(oracles.colex_rank(s) for s in subs)
     assert ranks == list(range(comb(9, 3)))
-    for s in subs:
-        assert _colex_unrank(_colex_rank(s), 3) == s
 
 
 def _assert_incidence_matches_oracle(n, k, t):
@@ -79,67 +66,34 @@ def test_incidence_memory_budget_checked_before_building():
         _coverage_incidence.__wrapped__(24, 12, 6)
 
 
-def test_family_validation():
-    KSetFamily(5, 3, (_mask((0, 1, 2)), _mask((0, 1, 3))))
-    with pytest.raises(ValueError):
-        KSetFamily(5, 3, (_mask((0, 1)),))
-    with pytest.raises(ValueError):
-        KSetFamily(5, 3, (_mask((0, 1, 2)), _mask((0, 1, 2))))
-
-
-def test_sampling_degenerate_p():
+def test_trials_at_degenerate_p():
+    # p = 0 leaves every t-set uncovered; p = 1 covers each C(6, 2) = 15 times
     params = DesignParams(10, 4, 2)
-    assert len(sample_design_family(params, 0.0, derive_stream(0, 0))) == 0
-    full = sample_design_family(params, 1.0, derive_stream(0, 0))
-    assert len(full) == comb(10, 4)
-
-
-def test_sampling_mean_size():
-    # 200 trials at (n=10, k=4), p=1/2: mean family size near C(10,4)/2 = 105
-    params = DesignParams(10, 4, 2)
-    sizes = [
-        len(sample_design_family(params, 0.5, derive_stream(21, i)))
-        for i in range(200)
-    ]
-    se = math.sqrt(comb(10, 4) * 0.25 / 200)
-    assert abs(np.mean(sizes) - 105.0) < 3 * se
-
-
-def test_sampling_huge_universe_by_ranks():
-    # C(30,15) is far past the coin-flip budget; selection switches to a
-    # binomial size draw plus distinct uniform ranks, the same Bernoulli law
-    params = DesignParams(30, 15, 2)
-    p = 2e-6
-    family = sample_design_family(params, p, derive_stream(22, 0))
-    assert all(bin(m).count("1") == 15 for m in family.masks)
-    assert len(set(family.masks)) == len(family)
-    sizes = [
-        len(sample_design_family(params, p, derive_stream(22, i))) for i in range(30)
-    ]
-    mean = comb(30, 15) * p
-    se = math.sqrt(comb(30, 15) * p / 30)  # binomial sd ~ sqrt(Up) here
-    assert abs(np.mean(sizes) - mean) < 4 * se
+    assert deficiency_trial(derive_stream(0, 0), params, 0.0) == (params.n_tsets, False)
+    assert deficiency_trial(derive_stream(0, 0), params, 1.0) == (0, True)
+    assert overfull_trial(derive_stream(0, 0), params, 1.0) == (params.n_tsets, False)
 
 
 def test_profile_full_and_empty_family():
     params = DesignParams(5, 3, 2)
-    full = sample_design_family(params, 1.0, derive_stream(0, 0))
-    profile = coverage_profile(full, params)
+    profile = _profile_from_selection(params, 1.0, derive_stream(0, 0))
     # every t-set lies in exactly C(n-t, k-t) k-sets
     assert np.all(profile == comb(3, 1))
-    empty = KSetFamily(5, 3, ())
-    assert np.all(coverage_profile(empty, params) == 0)
+    assert np.all(_profile_from_selection(params, 0.0, derive_stream(0, 0)) == 0)
+
+
+def _profile(n, k, t, ranks):
+    """Coverage counts of the k-subsets at the given lex ranks, from the incidence table."""
+    return np.bincount(_coverage_incidence(n, k, t)[list(ranks)].ravel(), minlength=comb(n, t))
 
 
 def test_profile_direct_inspection():
-    # family {0,1,2}, {0,1,3} inside (n=5, k=3, t=2)
-    params = DesignParams(5, 3, 2)
-    family = KSetFamily(5, 3, (_mask((0, 1, 2)), _mask((0, 1, 3))))
-    profile = coverage_profile(family, params)
-    assert profile[_colex_rank((0, 1))] == 2
-    assert profile[_colex_rank((0, 2))] == 1
-    assert profile[_colex_rank((2, 3))] == 0
-    assert profile.sum() == len(family) * comb(3, 2)
+    # family {0,1,2}, {0,1,3}: the first two lex 3-subsets of [5], with t=2
+    profile = _profile(5, 3, 2, [0, 1])
+    assert profile[oracles.colex_rank((0, 1))] == 2
+    assert profile[oracles.colex_rank((0, 2))] == 1
+    assert profile[oracles.colex_rank((2, 3))] == 0
+    assert profile.sum() == 2 * comb(3, 2)
     # deficiency/overfull against the same hand-computed profile
     assert deficiency_count(profile, 2) == 9
     assert overfull_count(profile, 1) == 1
@@ -158,15 +112,12 @@ def test_count_edges():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_adding_a_member_is_monotone(data):
-    params = DesignParams(7, 3, 2)
-    universe = list(combinations(range(7), 3))
+    universe = range(comb(7, 3))
     picks = data.draw(st.lists(st.sampled_from(universe), max_size=8, unique=True))
     extra = data.draw(st.sampled_from([c for c in universe if c not in picks]))
     lam = data.draw(st.integers(1, 3))
-    before = coverage_profile(KSetFamily(7, 3, tuple(_mask(c) for c in picks)), params)
-    after = coverage_profile(
-        KSetFamily(7, 3, tuple(_mask(c) for c in picks) + (_mask(extra),)), params
-    )
+    before = _profile(7, 3, 2, picks)
+    after = _profile(7, 3, 2, picks + [extra])
     assert deficiency_count(after, lam) <= deficiency_count(before, lam)
     assert overfull_count(after, lam) >= overfull_count(before, lam)
 
@@ -208,12 +159,12 @@ def test_trials_match_mask_level_ops():
     params = DesignParams(9, 4, 2, 2)
     for i in range(12):
         x_fast, holds = deficiency_trial(derive_stream(30, i), params, 0.2)
-        family = sample_design_family(params, 0.2, derive_stream(30, i))
-        x_slow = deficiency_count(coverage_profile(family, params), params.lam)
+        ranks = bernoulli_ranks(comb(9, 4), 0.2, derive_stream(30, i))
+        profile = oracles.tset_profile(ranks, 9, 4, 2)
+        x_slow = deficiency_count(profile, params.lam)
         assert x_fast == x_slow and holds == (x_fast == 0)
         y_fast, _ = overfull_trial(derive_stream(30, i), params, 0.2)
-        y_slow = overfull_count(coverage_profile(family, params), params.lam)
-        assert y_fast == y_slow
+        assert y_fast == overfull_count(profile, params.lam)
 
 
 def _cover_holds(stream, params, p):
@@ -245,8 +196,7 @@ def test_exchangeability_of_coverage():
     p = 0.15
     means = []
     for i in range(300):
-        family = sample_design_family(params, p, derive_stream(40, i))
-        means.append(coverage_profile(family, params).mean())
+        means.append(_profile_from_selection(params, p, derive_stream(40, i)).mean())
     target = p * params.supersets_per_tset
     se = np.std(means, ddof=1) / math.sqrt(len(means))
     assert abs(np.mean(means) - target) < 3 * se

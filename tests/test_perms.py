@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import count_undercovered
 from threshold_lab.errors import BudgetExceededError
 from threshold_lab.perms import (
-    count_undercovered,
     cover_trial,
     covering_set,
     covering_threshold_p,

@@ -4,14 +4,7 @@ from scipy import stats
 
 import oracles
 from threshold_lab import designs, perms, sidon, unionfree
-from threshold_lab.rng import (
-    IndexSubset,
-    bernoulli_ranks,
-    derive_stream,
-    sample_bernoulli_subset,
-    sample_uniform_subset,
-    throw_balls,
-)
+from threshold_lab.rng import bernoulli_ranks, derive_stream, throw_balls
 
 
 def test_same_key_same_sequence():
@@ -48,40 +41,12 @@ def test_rejects_bad_arguments():
         derive_stream(1 << 64, 0)
 
 
-def test_bernoulli_p_zero_and_one():
-    rng = derive_stream(5, 0)
-    assert len(sample_bernoulli_subset(10, 0.0, rng)) == 0
-    assert len(sample_bernoulli_subset(10, 1.0, rng)) == 10
-
-
-def test_bernoulli_rejects_bad_p():
-    rng = derive_stream(5, 0)
-    with pytest.raises(ValueError):
-        sample_bernoulli_subset(10, -0.1, rng)
-    with pytest.raises(ValueError):
-        sample_bernoulli_subset(10, 1.1, rng)
-
-
 def test_bernoulli_mean_cardinality():
     # mean subset size over 200 trials within 3 sigma of N p
     n, p, trials = 10**6, 0.3, 200
-    sizes = [len(sample_bernoulli_subset(n, p, derive_stream(11, i))) for i in range(trials)]
+    sizes = [len(bernoulli_ranks(n, p, derive_stream(11, i))) for i in range(trials)]
     se = np.sqrt(n * p * (1 - p) / trials)
     assert abs(np.mean(sizes) - n * p) < 3 * se
-
-
-def test_index_subset_interface():
-    sub = sample_bernoulli_subset(50, 0.4, derive_stream(9, 0))
-    members = list(sub)
-    assert len(members) == len(sub)
-    assert all(m in sub for m in members)
-    assert -1 not in sub and 50 not in sub
-    assert sorted(members) == members
-
-
-def test_index_subset_shape_check():
-    with pytest.raises(ValueError):
-        IndexSubset(5, np.zeros(4, dtype=bool))
 
 
 def _binomial_pvalue(sizes: np.ndarray, n: int, p: float) -> float:
@@ -107,7 +72,7 @@ def test_cardinality_is_binomial():
     # chi-square goodness of fit at N=50, p=0.2 over 1e4 trials, alpha=1e-3
     n, p, trials = 50, 0.2, 10_000
     sizes = np.array(
-        [len(sample_bernoulli_subset(n, p, derive_stream(77, i))) for i in range(trials)]
+        [len(bernoulli_ranks(n, p, derive_stream(77, i))) for i in range(trials)]
     )
     assert _binomial_pvalue(sizes, n, p) > 1e-3
 
@@ -210,12 +175,3 @@ def test_throw_balls_uniform_concentration():
     sigma = np.sqrt(n * 0.1 * 0.9)
     assert np.all(np.abs(counts - n / boxes) < 5 * sigma)
 
-
-def test_uniform_subset():
-    rng = derive_stream(2, 0)
-    sub = sample_uniform_subset(100, 12, rng)
-    assert len(sub) == 12 and len(np.unique(sub)) == 12
-    assert sub.min() >= 0 and sub.max() < 100
-    assert np.array_equal(sub, np.sort(sub))
-    with pytest.raises(ValueError):
-        sample_uniform_subset(5, 6, rng)

@@ -13,7 +13,6 @@ from threshold_lab.sidon import (
     _max_multiplicity,
     basis_threshold_p,
     bh_g_trial,
-    bh_g_trial_uniform,
     count_equal_sum_tuples,
     is_bh_g,
     is_truncated_basis,
@@ -219,8 +218,6 @@ def test_max_multiplicity_edges():
 
 def test_trials_report_property():
     top, holds = bh_g_trial(derive_stream(50, 0), 2000, 2, 1, 0.002)
-    assert holds == (top <= 1)
-    top, holds = bh_g_trial_uniform(derive_stream(50, 1), 2000, 2, 1, 5)
     assert holds == (top <= 1)
     top, holds = truncated_basis_trial(derive_stream(50, 2), 200, 2, 2, 0.5, 0.3)
     assert isinstance(top, int) and isinstance(holds, bool)
