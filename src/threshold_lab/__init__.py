@@ -7,61 +7,40 @@ the properties exactly, evaluates every closed-form threshold expression,
 and locates the empirical transitions.
 """
 
-from .analysis import (
-    EULER_GAMMA,
-    MonteCarloSummary,
-    ThresholdScan,
-    binomial_tail,
-    binomial_tail_term_ratio,
-    gumbel_sup_distance,
-    loglog_slope,
-    map_trials,
-    poisson_tv_distance,
-    run_trials,
-    threshold_bisect,
-    wilson_interval,
-)
-from .balls import (
-    OccupancyState,
-    count_overfull,
-    normalize_waiting_time,
-    packing_threshold_n,
-    waiting_time,
-    waiting_time_mean,
-)
-from .designs import (
-    DesignParams,
-    covering_threshold_p,
-    deficiency_count,
-    expected_deficient,
-    overfull_count,
-    packing_threshold_p,
-)
-from .errors import BracketError, BudgetExceededError
-from .perms import (
-    covering_set,
-    covers,
-    delete_and_flatten,
-    joint_cover_neighborhood,
-    joint_covers,
-    packing_threshold_bounds,
-)
-from .rng import bernoulli_ranks, derive_stream, throw_balls
-from .sidon import (
-    basis_threshold_p,
-    count_equal_sum_tuples,
-    is_bh_g,
-    is_truncated_basis,
-    representation_counts,
-    sidon_threshold_k,
-)
-from .unionfree import (
-    count_union_collisions,
-    determining_pairs,
-    janson_delta_bound,
-    union_obstacle_bruteforce,
-    union_obstacle_count,
-    wuf_threshold_p,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# module -> the public names it defines; each is imported on first access
+# (PEP 562), so importing the package, and so starting the CLI, loads no numpy
+_PUBLIC = {
+    "analysis": "EULER_GAMMA MonteCarloSummary ThresholdScan binomial_tail "
+                "binomial_tail_term_ratio gumbel_sup_distance loglog_slope map_trials "
+                "poisson_tv_distance run_trials threshold_bisect wilson_interval",
+    "balls": "OccupancyState count_overfull normalize_waiting_time packing_threshold_n "
+             "waiting_time waiting_time_mean",
+    "designs": "DesignParams covering_threshold_p deficiency_count expected_deficient "
+               "overfull_count packing_threshold_p",
+    "errors": "BracketError BudgetExceededError",
+    "perms": "covering_set covers delete_and_flatten joint_cover_neighborhood joint_covers "
+             "packing_threshold_bounds",
+    "rng": "bernoulli_ranks derive_stream throw_balls",
+    "sidon": "basis_threshold_p count_equal_sum_tuples is_bh_g is_truncated_basis "
+             "representation_counts sidon_threshold_k",
+    "unionfree": "count_union_collisions determining_pairs janson_delta_bound "
+                 "union_obstacle_bruteforce union_obstacle_count wuf_threshold_p",
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names.split()}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_PUBLIC, *_MODULE_OF})

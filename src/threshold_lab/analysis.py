@@ -11,15 +11,17 @@ growth-rate regression.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BracketError
 from .rng import bernoulli_ranks, derive_stream
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "EULER_GAMMA",
@@ -206,8 +208,10 @@ class ThresholdScan:
 
 
 def _run_chunk(args) -> list:
+    """(index, result) of each trial, on one generator re-keyed per trial."""
     trial_fn, seed, indices = args
-    return [(i, trial_fn(derive_stream(seed, i))) for i in indices]
+    stream = None
+    return [(i, trial_fn(stream := derive_stream(seed, i, stream))) for i in indices]
 
 
 def map_trials(
@@ -220,19 +224,21 @@ def map_trials(
 ) -> list:
     """Run ``trial_fn`` once per trial index and return results in index order.
 
-    Each trial receives ``derive_stream(seed, index)``, so the output list is
-    identical for any worker count.  With ``workers > 1`` the trial function
-    must be picklable (a top-level function or partial of one), and the
-    chunks run on ``pool`` if given, else on a pool opened for this call.
+    Each trial receives ``derive_stream(seed, index)``, one generator re-keyed
+    per trial that a trial must not keep, so the output list is identical for
+    any worker count.  With ``workers > 1`` the trial function must be
+    picklable (a top-level function or partial of one), and the chunks run on
+    ``pool`` if given, else on a pool opened for this call.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if workers <= 1 or trials == 1:
-        return [trial_fn(derive_stream(seed, i)) for i in range(trials)]
+        return [value for _, value in _run_chunk((trial_fn, seed, range(trials)))]
     out: list = [None] * trials
     n_chunks = min(trials, workers * 4)
     chunks = np.array_split(np.arange(trials), n_chunks)
     jobs = [(trial_fn, seed, chunk.tolist()) for chunk in chunks if len(chunk)]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads it
     owned = ProcessPoolExecutor(max_workers=workers) if pool is None else nullcontext(pool)
     with owned as executor:
         for part in executor.map(_run_chunk, jobs):
@@ -281,8 +287,8 @@ def threshold_bisect(
     value; ``increasing`` declares whether the success probability rises with
     the parameter.  Endpoints must straddle the target beyond their Wilson
     intervals or a BracketError is raised.  Every probe gets a fresh sub-seed
-    derived from ``(seed, probe_index)``, and all probes share one pool of
-    ``workers`` processes, shut down however the bisection ends.
+    derived from ``(seed, probe_index)``.  With ``workers > 1`` all probes
+    share one pool, shut down however the bisection ends.
     """
     if not p_lo < p_hi:
         raise ValueError("need p_lo < p_hi")
@@ -301,7 +307,9 @@ def threshold_bisect(
         return summary
 
     # one pool for every probe, so its workers start once and keep their table caches
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         s_lo = evaluate(p_lo)
         s_hi = evaluate(p_hi)
         lo_ok = s_lo.ci_high < target if increasing else s_lo.ci_low > target

@@ -9,15 +9,18 @@ Each command is one entry of ``_EXPERIMENTS``: its help, flags and kind, and
 a function that checks the flags against each other and returns the header
 parameters plus the work: ``(columns, trial)`` for fixed trials,
 ``(make_trial, increasing)`` for a bisection, ``(columns, rows)`` for an
-exhaustive table.
+exhaustive table.  A model module is imported by the experiments that use it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
 import os
+
+# before numpy loads: no command calls BLAS, and an idle OpenBLAS thread spins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import argparse
+import math
 import sys
 import tempfile
 from functools import partial
@@ -26,7 +29,6 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .analysis import map_trials, threshold_bisect
 from .errors import BracketError, BudgetExceededError
-from . import balls, designs, perms, sidon, unionfree
 
 def _number_in(kind: type, low: float, high: float = math.inf, *, above: bool = False):
     """argparse ``type``: an int or float in [low, high], or (low, high] when ``above``."""
@@ -93,6 +95,7 @@ _SCAN_COLUMNS = ["param", "trials", "successes", "estimate", "ci_low", "ci_high"
 
 
 def _balls(args):
+    from . import balls
     if args.waiting == (args.n_balls is not None):
         raise ValueError("give exactly one of --balls or --waiting")
     params = {"boxes": args.boxes, "lambda": args.lam}
@@ -108,6 +111,7 @@ def _balls(args):
 
 
 def _design(args):
+    from . import designs
     dp = designs.DesignParams(args.n, args.k, args.t, args.lam)
     if (args.p is None) == (args.r is None):
         raise ValueError("give exactly one of --p or --r")
@@ -123,6 +127,7 @@ def _design(args):
 
 
 def _sidon_check(args):
+    from . import sidon
     p = args.k / args.n
     if not 0.0 <= p <= 1.0:
         raise ValueError("--k must lie in [0, n]")
@@ -131,6 +136,7 @@ def _sidon_check(args):
 
 
 def _sidon_basis(args):
+    from . import sidon
     p = sidon.basis_threshold_p(args.n, args.h, args.g, args.alpha, args.a_shift)
     params = {"n": args.n, "h": args.h, "g": args.g, "alpha": args.alpha,
               "A": args.a_shift, "p": p, "trials": args.trials}
@@ -140,6 +146,7 @@ def _sidon_basis(args):
 
 
 def _sidon_enum(args):
+    from . import sidon
     count = sidon.count_equal_sum_tuples(args.n, args.h, args.g, args.l)
     params = {"n": args.n, "h": args.h, "g": args.g, "l": args.l}
     return params, ["n", "l", "count"], [(args.n, args.l, count)]
@@ -147,6 +154,7 @@ def _sidon_enum(args):
 
 def _sidon_scan(args):
     """Bisect over the cardinality scale k; membership probability k/n."""
+    from . import sidon
     if not 0 <= args.lo < args.hi <= args.n:
         raise ValueError("need 0 <= --lo < --hi <= n")
     params = {"n": args.n, "h": args.h, "g": args.g}
@@ -156,6 +164,7 @@ def _sidon_scan(args):
 
 def _checks(max_n: int, max_n_cover: int):
     """One row per exhaustive cover-count and joint-cover check."""
+    from . import perms
     params = {"max_n": max_n, "max_n_cover": max_n_cover}
     rows = [("cover-count", n, passed, worst, expected)
             for n, passed, worst, expected in perms.verify_cover_counts(max_n_cover)]
@@ -166,17 +175,20 @@ def _checks(max_n: int, max_n_cover: int):
 
 
 def _perm_cover(args):
+    from . import perms
     p = perms.covering_threshold_p(args.n, args.lam, args.r, clamp=True)
     params = {"n": args.n, "lambda": args.lam, "r": args.r, "p": p, "trials": args.trials}
     return params, _COUNT_COLUMNS, partial(perms.cover_trial, n=args.n, lam=args.lam, p=p)
 
 
 def _perm_pack(args):
+    from . import perms
     params = {"n": args.n, "lambda": args.lam, "p": args.p, "trials": args.trials}
     return params, _COUNT_COLUMNS, partial(perms.pack_trial, n=args.n, lam=args.lam, p=args.p)
 
 
 def _unionfree(args):
+    from . import unionfree
     params = {"n": args.n, "p": args.p, "trials": args.trials}
     if args.exact_obstacles:
         params["obstacles_formula"] = unionfree.union_obstacle_count(args.n)
@@ -187,6 +199,7 @@ def _unionfree(args):
 
 def _scan(args):
     """Bisect over the selection probability p."""
+    from . import designs, unionfree
     if not args.lo < args.hi:
         raise ValueError("need 0 <= --lo < --hi <= 1")
     params = {"experiment": args.experiment, "n": args.n}
@@ -243,7 +256,7 @@ _EXPERIMENTS = {
         **_TRIALS,
     }, "trials", _sidon_check),
     "sidon basis": _Experiment("truncated-basis property at an offset on its threshold curve", {
-        "--n": _req(int), "--h": _req(int), "--g": _req(int), "--alpha": _req(float),
+        "--n": _req(int), "--h": _req(int), "--g": _req(_positive_int), "--alpha": _req(float),
         "--A": {"dest": "a_shift", "type": float, "default": 0.0}, **_TRIALS,
     }, "trials", _sidon_basis),
     "sidon enum-bhg": _Experiment("exhaustive equal-sum tuple-system count", {
@@ -302,11 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _meta_line(command: str, params: dict, seed: int) -> str:
-    kv = " ".join(f"{k}={v}" for k, v in params.items())
-    return f"# threshold-lab v{__version__} cmd={command} {kv} seed={seed}"
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -317,18 +325,15 @@ def _fmt(value) -> str:
 
 def _emit(args, command: str, params: dict, columns: list[str], rows: list[tuple]) -> None:
     if args.format == "csv":
-        lines = [_meta_line(command, params, args.seed), ",".join(columns)]
+        kv = " ".join(f"{k}={v}" for k, v in params.items())
+        lines = [f"# threshold-lab v{__version__} cmd={command} {kv} seed={args.seed}",
+                 ",".join(columns)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
-        payload = {
-            "version": __version__,
-            "command": command,
-            "params": params,
-            "seed": args.seed,
-            "columns": columns,
-            "rows": [list(row) for row in rows],
-        }
+        import json
+        payload = {"version": __version__, "command": command, "params": params,
+                   "seed": args.seed, "columns": columns, "rows": [list(row) for row in rows]}
         text = json.dumps(payload, indent=None, separators=(",", ":")) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -1,6 +1,6 @@
 """Deterministic random-stream management and elementary sampling primitives.
 
-Every Monte Carlo experiment in this package draws one generator per trial,
+Every Monte Carlo experiment in this package draws one stream per trial,
 derived as a pure function of ``(master seed, trial index)``.  Trials can
 therefore be replayed or scheduled across any number of workers without
 changing a single output bit.
@@ -19,14 +19,16 @@ __all__ = [
 _U64 = (1 << 64) - 1
 
 
-def derive_stream(master: int, trial_index: int) -> np.random.Generator:
+def derive_stream(master: int, trial_index: int,
+                  reuse: np.random.Generator | None = None) -> np.random.Generator:
     """Return the counter-based generator for one trial.
 
     The stream is keyed by the 128-bit value ``master << 64 | trial_index``,
     so distinct trial indices give statistically independent Philox streams
     and reconstruction in another process yields the identical sequence.
     Integer draws from the returned generator use Lemire-style rejection,
-    not modulo reduction, so uniform sampling is unbiased.
+    not modulo reduction, so uniform sampling is unbiased.  ``reuse``, a
+    generator from an earlier call, is re-keyed in place and returned.
     """
     master = int(master)
     trial_index = int(trial_index)
@@ -34,7 +36,12 @@ def derive_stream(master: int, trial_index: int) -> np.random.Generator:
         raise ValueError("master seed must be a 64-bit unsigned integer")
     if not 0 <= trial_index <= _U64:
         raise ValueError("trial_index must be a 64-bit unsigned integer")
-    return np.random.Generator(np.random.Philox(key=(master << 64) | trial_index))
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(key=(master << 64) | trial_index))
+    reuse.bit_generator.state = {  # key words [index, master], counter 0, buffer empty
+        "bit_generator": "Philox", "state": {"counter": (0,) * 4, "key": (trial_index, master)},
+        "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return reuse
 
 
 def bernoulli_ranks(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import multiprocessing
 from functools import partial
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from threshold_lab import analysis
 from threshold_lab.analysis import (
     EULER_GAMMA,
     binomial_tail,
@@ -227,12 +227,13 @@ def test_bisect_bracket_violation():
 def test_bisect_runs_every_probe_on_one_pool(monkeypatch):
     opened = []
 
-    class CountingPool(analysis.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", CountingPool)
+    # analysis imports the pool class from concurrent.futures when it opens one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     args = (lambda p: partial(_biased_coin, p=p), 0.0, 1.0)
     kwargs = dict(trials_per_eval=40, tol=0.05, seed=3, increasing=True)
     pooled = threshold_bisect(*args, workers=2, **kwargs)

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from threshold_lab import cli
+from threshold_lab import cli, perms
 from threshold_lab.cli import main
 
 
@@ -191,7 +193,7 @@ def test_verify_lemmas_honours_out_and_format(tmp_path, capsys):
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli.perms, "verify_cover_counts", lambda max_n: [(1, False, 3, 2)])
+    monkeypatch.setattr(perms, "verify_cover_counts", lambda max_n: [(1, False, 3, 2)])
     assert _run(["verify"]) == 1
     assert "cover-count,1,0,3,2" in capsys.readouterr().out.splitlines()
 
@@ -254,6 +256,7 @@ def no_trials(monkeypatch):
         "sidon enum-bhg --n 20 --h 2 --g 1 --l 0",
         "sidon enum-bhg --n 20 --h 2 --g 1 --l -1",
         "perm verify-lemmas --max-n 2 --max-n-cover -3",
+        "sidon basis --n 1000 --h 2 --g 0 --alpha 0.5 --trials 3",
         # float64 Gamma draws stop resolving the waiting time's spread
         "balls --boxes 3 --lambda 4294967297 --waiting --trials 1",
     ],
@@ -281,6 +284,90 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
     monkeypatch.delenv("THRESHOLD_LAB_WORKERS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
     assert cli._default_workers() == 3
+
+
+# every public name the package exported by eager import, by defining module
+_EXPORTED = {
+    "analysis": "EULER_GAMMA MonteCarloSummary ThresholdScan binomial_tail "
+                "binomial_tail_term_ratio gumbel_sup_distance loglog_slope map_trials "
+                "poisson_tv_distance run_trials threshold_bisect wilson_interval",
+    "balls": "OccupancyState count_overfull normalize_waiting_time packing_threshold_n "
+             "waiting_time waiting_time_mean",
+    "designs": "DesignParams covering_threshold_p deficiency_count expected_deficient "
+               "overfull_count packing_threshold_p",
+    "errors": "BracketError BudgetExceededError",
+    "perms": "covering_set covers delete_and_flatten joint_cover_neighborhood joint_covers "
+             "packing_threshold_bounds",
+    "rng": "bernoulli_ranks derive_stream throw_balls",
+    "sidon": "basis_threshold_p count_equal_sum_tuples is_bh_g is_truncated_basis "
+             "representation_counts sidon_threshold_k",
+    "unionfree": "count_union_collisions determining_pairs janson_delta_bound "
+                 "union_obstacle_bruteforce union_obstacle_count wuf_threshold_p",
+}
+_BALLS = "balls --boxes 10 --balls 5 --trials 1 --workers 1"
+
+
+def _python(*args, env=None) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_package_import_is_lazy_and_keeps_every_name():
+    _python("-c", f"""
+import importlib, sys
+import threshold_lab
+assert "numpy" not in sys.modules, "import threshold_lab loaded numpy"
+listed, star = dir(threshold_lab), {{}}
+exec("from threshold_lab import *", star)
+for module, names in {_EXPORTED!r}.items():
+    defining = importlib.import_module("threshold_lab." + module)
+    assert getattr(threshold_lab, module) is defining, module
+    for name in names.split():
+        assert getattr(threshold_lab, name) is getattr(defining, name), name
+        assert name in listed and star[name] is getattr(defining, name), name
+""")
+
+
+# each entry point run in a fresh interpreter, followed by a report line
+_ENTRY_POINTS = {
+    "python -m": "import runpy\n"
+                 "try:\n"
+                 "    runpy.run_module('threshold_lab', run_name='__main__', alter_sys=True)\n"
+                 "except SystemExit as done:\n"
+                 "    assert done.code == 0",
+    "console script": "from threshold_lab.cli import main\nassert main(sys.argv[1:]) == 0",
+}
+
+
+def _run_entry(entry: str, report: str, tmp_path, env=None) -> list[str]:
+    """Words of ``report``'s output after a ``_BALLS`` run through ``entry``."""
+    code = f"import os, sys\n{_ENTRY_POINTS[entry]}\nprint({report})"
+    argv = [*_BALLS.split(), "--out", str(tmp_path / "out.csv")]
+    return _python("-c", code, *argv, env=env).stdout.split()
+
+
+def test_a_run_imports_only_what_its_command_uses(tmp_path):
+    # read from sys.modules: -X importtime does not list a submodule that
+    # ``from . import name`` loads
+    loaded = set(_run_entry("python -m", "*sys.modules", tmp_path))
+    assert {"numpy", "threshold_lab.balls"} <= loaded
+    unused = {"concurrent.futures", "json"} | {
+        f"threshold_lab.{m}" for m in ("designs", "perms", "sidon", "unionfree")}
+    assert not loaded & unused
+
+
+@pytest.mark.parametrize("caller", [None, "3"], ids=["unset", "caller-set"])
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_entry_points_pin_blas_to_one_thread(tmp_path, entry, caller):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    report = "os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task'))"
+    setting, threads = _run_entry(entry, report, tmp_path, env)
+    assert setting == (caller or "1")
+    if caller is None:
+        assert threads == "1"  # numpy loaded, and no OpenBLAS thread was started
 
 
 # sha256 of each line's output bytes at --workers 1; a sampler change that

@@ -32,6 +32,40 @@ def test_distinct_masters_differ():
     )
 
 
+# (master, trial_index) pairs, the 64-bit edges included
+_REKEY_PAIRS = [(0, 0), (0, 1), (1, 0), (42, 7), (7, 42), (2**64 - 1, 0), (0, 2**64 - 1),
+                (2**64 - 1, 2**64 - 1)]
+
+
+def _every_trial_draw(stream) -> list:
+    """One of each draw method the trials use, each on both of its code paths."""
+    return [
+        stream.random(3),
+        stream.binomial(10**6, 0.3), stream.binomial(40, 0.05),  # BTPE, inversion
+        stream.choice(10**6, 15, replace=False, shuffle=False),  # Floyd
+        stream.choice(40, 25, replace=False, shuffle=False),  # partial shuffle
+        stream.integers(0, 1000, size=5), stream.integers(0, 2**40, size=3),  # 32-, 64-bit words
+        stream.standard_gamma(2.0, size=4), stream.standard_gamma(0.5, size=4),
+        stream.poisson(3.5), stream.poisson(1e4),
+    ]
+
+
+def test_rekeyed_stream_draws_what_a_fresh_one_draws():
+    stream = derive_stream(99, 99)
+    for master, index in _REKEY_PAIRS:
+        # leave the generator dirty from its last key: a cached binomial setup,
+        # half of a 64-bit word held back, and a partly read 4-word block
+        stream.binomial(7, 0.4)
+        while not stream.bit_generator.state["has_uint32"]:
+            stream.integers(0, 2**32, dtype=np.uint32)
+        while not 0 < stream.bit_generator.state["buffer_pos"] < 4:
+            stream.random()
+        assert derive_stream(master, index, stream) is stream
+        fresh = np.random.Generator(np.random.Philox(key=master << 64 | index))
+        for got, want in zip(_every_trial_draw(stream), _every_trial_draw(fresh)):
+            assert np.array_equal(got, want), (master, index)
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         derive_stream(3, -1)
