@@ -208,10 +208,18 @@ class ThresholdScan:
 
 
 def _run_chunk(args) -> list:
-    """(index, result) of each trial, on one generator re-keyed per trial."""
+    """Results of one index range of trials, on one generator re-keyed per trial."""
     trial_fn, seed, indices = args
     stream = None
-    return [(i, trial_fn(stream := derive_stream(seed, i, stream))) for i in indices]
+    return [trial_fn(stream := derive_stream(seed, i, stream)) for i in indices]
+
+
+def _pool(workers: int):
+    """A process pool of ``workers``, or a null context yielding None at one worker."""
+    if workers <= 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads it
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def map_trials(
@@ -227,24 +235,19 @@ def map_trials(
     Each trial receives ``derive_stream(seed, index)``, one generator re-keyed
     per trial that a trial must not keep, so the output list is identical for
     any worker count.  With ``workers > 1`` the trial function must be
-    picklable (a top-level function or partial of one), and the chunks run on
-    ``pool`` if given, else on a pool opened for this call.
+    picklable (a top-level function or partial of one), and the contiguous
+    index ranges run on ``pool`` if given, else on a pool opened for this
+    call; ``executor.map`` yields them in order.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if workers <= 1 or trials == 1:
-        return [value for _, value in _run_chunk((trial_fn, seed, range(trials)))]
-    out: list = [None] * trials
+        return _run_chunk((trial_fn, seed, range(trials)))
     n_chunks = min(trials, workers * 4)
-    chunks = np.array_split(np.arange(trials), n_chunks)
-    jobs = [(trial_fn, seed, chunk.tolist()) for chunk in chunks if len(chunk)]
-    from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads it
-    owned = ProcessPoolExecutor(max_workers=workers) if pool is None else nullcontext(pool)
-    with owned as executor:
-        for part in executor.map(_run_chunk, jobs):
-            for i, value in part:
-                out[i] = value
-    return out
+    jobs = [(trial_fn, seed, range(c * trials // n_chunks, (c + 1) * trials // n_chunks))
+            for c in range(n_chunks)]
+    with _pool(workers) if pool is None else nullcontext(pool) as executor:
+        return [value for part in executor.map(_run_chunk, jobs) for value in part]
 
 
 def run_trials(
@@ -295,21 +298,15 @@ def threshold_bisect(
     if tol <= 0:
         raise ValueError("tol must be positive")
     scan = ThresholdScan(tol=tol, seed=seed)
-    probe = 0
 
     def evaluate(param: float) -> MonteCarloSummary:
-        nonlocal probe
-        summary = run_trials(
-            make_trial(param), trials_per_eval, _probe_seed(seed, probe), workers, pool=pool
-        )
-        probe += 1
+        probe_seed = _probe_seed(seed, len(scan.rows))
+        summary = run_trials(make_trial(param), trials_per_eval, probe_seed, workers, pool=pool)
         scan.rows.append((param, summary))
         return summary
 
     # one pool for every probe, so its workers start once and keep their table caches
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with _pool(workers) as pool:
         s_lo = evaluate(p_lo)
         s_hi = evaluate(p_hi)
         lo_ok = s_lo.ci_high < target if increasing else s_lo.ci_low > target

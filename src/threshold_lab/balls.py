@@ -101,13 +101,9 @@ def waiting_time_mean(n_boxes: int, lam: int) -> float:
 
 
 def normalize_waiting_time(t: float, n_boxes: int, lam: int) -> float:
-    """Center and scale a waiting time onto the Gumbel limit axis."""
-    if n_boxes < 3:
-        raise ValueError("n_boxes must be at least 3 (ln ln N must be positive)")
-    if lam < 1:
-        raise ValueError("lam must be at least 1")
-    n = float(n_boxes)
-    return t / n - math.log(n) - (lam - 1) * math.log(math.log(n)) + math.lgamma(lam)
+    """Center and scale a waiting time onto the Gumbel limit axis:
+    (t - waiting_time_mean) / N + gamma."""
+    return (t - waiting_time_mean(n_boxes, lam)) / n_boxes + EULER_GAMMA
 
 
 def overfull_trial(

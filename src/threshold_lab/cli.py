@@ -30,17 +30,19 @@ from . import __version__
 from .analysis import map_trials, threshold_bisect
 from .errors import BracketError, BudgetExceededError
 
-def _number_in(kind: type, low: float, high: float = math.inf, *, above: bool = False):
-    """argparse ``type``: an int or float in [low, high], or (low, high] when ``above``."""
+def _number_in(kind: type, low: float, high: float = math.inf, *, above=False, below=False):
+    """argparse ``type``: an int or float in [low, high], open at low when ``above``
+    and at high when ``below``; nan lies in no interval."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__}: {text!r}") from None
-        if not (low < value if above else low <= value) or not value <= high:
-            raise argparse.ArgumentTypeError(
-                f"must lie in {'(' if above else '['}{low}, {high}], got {value}")
+        if not (low < value if above else low <= value) or not (
+                value < high if below else value <= high):
+            raise argparse.ArgumentTypeError(f"must lie in {'(' if above else '['}{low}, "
+                                             f"{high}{')' if below else ']'}, got {value}")
         return value
 
     return parse
@@ -232,7 +234,8 @@ _TRIALS = {"--trials": _req(_positive_int)}
 _LAMBDA = {"--lambda": {"dest": "lam", "type": _positive_int, "default": 1}}
 _NHG = {"--n": _req(_positive_int), "--h": _req(_number_in(int, 2)), "--g": _req(_positive_int)}
 _PERM_N = {"--n": _req(_number_in(int, 3, 9))}
-_BISECT = {"--target": {"type": float, "default": 0.5}, "--tol": _req(_positive_float),
+_BISECT = {"--target": {"type": _number_in(float, 0.0, 1.0, above=True, below=True),
+                       "default": 0.5}, "--tol": _req(_positive_float),
            "--trials-per-eval": _req(_positive_int)}
 _GROUPS = {"sidon": "bounded-multiplicity sums and truncated bases",
            "perm": "pattern containment between adjacent sizes"}

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .analysis import deficiency_count, overfull_count, selected_row_counts
+from .analysis import binomial_tail, deficiency_count, overfull_count, selected_row_counts
 from .errors import BudgetExceededError, check_budget
 
 __all__ = [
@@ -92,8 +92,6 @@ def _coverage_incidence(n: int, k: int, t: int) -> np.ndarray:
     per position from a table of binomials.
     """
     u = comb(n, k)
-    if u > _MAX_UNIVERSE:
-        raise BudgetExceededError(f"C({n},{k}) = {u} k-sets exceed the enumeration budget")
     # live at once: the table, one gathered temporary of its size, two u x k arrays
     check_budget(16 * u * (comb(k, t) + k), f"incidence tables of C({n},{k}) x C({k},{t}) ranks")
     ksets = np.fromiter(
@@ -135,27 +133,10 @@ def packing_threshold_p(params: DesignParams) -> float:
 
 
 def expected_deficient(params: DesignParams, p: float) -> float:
-    """Exact expected number of t-subsets covered at most lam - 1 times.
-
-    C(n,t) * sum_{j<lam} C(M,j) p^j (1-p)^(M-j) with M = C(n-t,k-t),
-    evaluated term-exactly (integer binomials, log-space powers).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    """Exact expected number of t-subsets covered at most lam - 1 times:
+    C(n,t) * P(Binomial(M, p) <= lam - 1) with M = C(n-t,k-t)."""
     m = params.supersets_per_tset
-    terms = []
-    for j in range(params.lam):
-        if p == 0.0:
-            terms.append(1.0 if j == 0 else 0.0)
-        elif p == 1.0:
-            terms.append(1.0 if j == m else 0.0)
-        else:
-            terms.append(
-                math.exp(
-                    math.log(comb(m, j)) + j * math.log(p) + (m - j) * math.log1p(-p)
-                )
-            )
-    return params.n_tsets * math.fsum(terms)
+    return params.n_tsets * binomial_tail(m, p, 0, min(params.lam - 1, m))
 
 
 def _profile_from_selection(

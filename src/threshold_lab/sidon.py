@@ -39,10 +39,13 @@ _PAIR_BLOCK = 256
 
 
 def _as_element_array(elements) -> np.ndarray:
-    arr = np.asarray(sorted(int(e) for e in elements), dtype=np.int64)
+    """Any iterable of distinct non-negative integers as a sorted int64 array."""
+    if not isinstance(elements, np.ndarray):
+        elements = np.fromiter(elements, dtype=np.int64)
+    arr = np.sort(elements.astype(np.int64, copy=False))
     if len(arr) and arr[0] < 0:
         raise ValueError("elements must be non-negative")
-    if len(np.unique(arr)) != len(arr):
+    if np.any(arr[1:] == arr[:-1]):
         raise ValueError("elements must be distinct")
     return arr
 
@@ -91,8 +94,15 @@ def is_bh_g(elements, h: int, g: int) -> bool:
     """True when every sum value has at most g nondecreasing h-representations."""
     if g < 1:
         raise ValueError("g must be at least 1")
-    counts = representation_counts(elements, h)
-    return int(counts.max()) <= g
+    return _max_multiplicity(elements, h) <= g
+
+
+def _basis_window(elements, n: int, h: int, alpha: float) -> np.ndarray:
+    """Representation counts of the sums in [alpha*n, (h-alpha)*n], endpoints
+    rounded inward (ceil low, floor high); sums beyond the table count zero."""
+    lo, hi = math.ceil(alpha * n), math.floor((h - alpha) * n)
+    counts = representation_counts(elements, h)[lo : hi + 1]
+    return np.pad(counts, (0, max(hi + 1 - lo, 0) - len(counts)))
 
 
 def is_truncated_basis(
@@ -107,14 +117,7 @@ def is_truncated_basis(
         raise ValueError("alpha must lie in (0, 1]")
     if g < 1:
         raise ValueError("g must be at least 1")
-    lo = math.ceil(alpha * n)
-    hi = math.floor((h - alpha) * n)
-    if lo > hi:
-        return True
-    counts = representation_counts(elements, h)
-    if hi >= len(counts):
-        return False  # sums beyond the table have zero representations
-    return int(counts[lo : hi + 1].min()) >= g
+    return bool(np.all(_basis_window(elements, n, h, alpha) >= g))
 
 
 def count_equal_sum_tuples(n: int, h: int, g: int, l: int) -> int:
@@ -233,11 +236,5 @@ def truncated_basis_trial(
     stream: np.random.Generator, n: int, h: int, g: int, alpha: float, p: float
 ) -> tuple[int, bool]:
     """One Bernoulli trial over {0} u [n]: (max count in window, basis holds)."""
-    elements = bernoulli_ranks(n + 1, p, stream)
-    lo = math.ceil(alpha * n)
-    hi = math.floor((h - alpha) * n)
-    counts = representation_counts(elements, h) if len(elements) else np.zeros(1, np.int64)
-    window = counts[lo : hi + 1]
-    top = int(window.max()) if len(window) else 0
-    holds = len(window) == (hi - lo + 1) and int(window.min()) >= g
-    return top, holds
+    window = _basis_window(bernoulli_ranks(n + 1, p, stream), n, h, alpha)
+    return int(window.max(initial=0)), bool(window.min(initial=g) >= g)

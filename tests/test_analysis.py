@@ -165,11 +165,16 @@ def test_run_trials_fair_coin():
     assert s.ci_low <= s.estimate <= s.ci_high
 
 
-def test_map_trials_worker_invariance():
-    fn = partial(_fair_coin)
-    serial = map_trials(fn, 64, seed=5, workers=1)
-    parallel = map_trials(fn, 64, seed=5, workers=2)
-    assert serial == parallel
+def _index_draw(stream):
+    return int(stream.integers(1 << 62))
+
+
+@pytest.mark.parametrize("trials,workers", [(1, 2), (2, 2), (7, 2), (9, 3), (64, 2)])
+def test_map_trials_worker_invariance(trials, workers):
+    # results come back in trial order however the indices are split into chunks
+    expected = [_index_draw(derive_stream(5, i)) for i in range(trials)]
+    assert map_trials(_index_draw, trials, seed=5, workers=1) == expected
+    assert map_trials(_index_draw, trials, seed=5, workers=workers) == expected
 
 
 def _step_trial(stream, param, knee):

@@ -252,6 +252,9 @@ def no_trials(monkeypatch):
         f"{_SCAN} --tol 0 --trials-per-eval 60",
         f"{_SIDON_SCAN} --tol 0 --trials-per-eval 60",
         f"{_SCAN} --tol 0.02 --trials-per-eval 0",
+        f"{_SCAN} --tol 0.02 --trials-per-eval 60 --target 1.5",
+        f"{_SCAN} --tol 0.02 --trials-per-eval 60 --target -0.2",
+        f"{_SCAN} --tol 0.02 --trials-per-eval 60 --target nan",
         f"{_SIDON_SCAN} --tol 1 --trials-per-eval 0",
         "sidon enum-bhg --n 20 --h 2 --g 1 --l 0",
         "sidon enum-bhg --n 20 --h 2 --g 1 --l -1",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -20,7 +21,7 @@ from threshold_lab.designs import (
     overfull_trial,
     packing_threshold_p,
 )
-from threshold_lab.errors import BudgetExceededError
+from threshold_lab.errors import MAX_ARRAY_BYTES, BudgetExceededError
 from threshold_lab.rng import bernoulli_ranks, derive_stream
 
 
@@ -61,9 +62,18 @@ def test_incidence_matches_row_by_row_colex_ranks(n, k, t):
 
 
 def test_incidence_memory_budget_checked_before_building():
-    # C(24,12) = 2704156 rows pass the row cap, but 924 ranks a row do not fit
+    # C(24,12) = 2704156 rows of 924 ranks do not fit
     with pytest.raises(BudgetExceededError, match="memory budget"):
         _coverage_incidence.__wrapped__(24, 12, 6)
+
+
+def test_incidence_budget_refuses_every_table_over_2_to_22_rows():
+    # so the byte budget alone does the work of a row cap, for every valid n <= 30
+    for n in range(2, 31):
+        for k in range(2, n + 1):
+            for t in range(1, k):
+                if comb(n, k) > 1 << 22:
+                    assert 16 * comb(n, k) * (comb(k, t) + k) > MAX_ARRAY_BYTES, (n, k, t)
 
 
 def test_trials_at_degenerate_p():
@@ -152,6 +162,34 @@ def test_expected_deficient_edges():
     assert expected_deficient(params, 1.0) == 0.0
     v = expected_deficient(DesignParams(12, 4, 2, 2), 0.1)
     assert abs(v - 3.4562735729627341) < 1e-12
+
+
+def _expected_deficient_exact(params, p):
+    """C(n,t) * sum_{j < lam, j <= M} C(M,j) p^j (1-p)^(M-j), in exact rationals."""
+    m, q = params.supersets_per_tset, Fraction(p)
+    return params.n_tsets * sum(
+        comb(m, j) * q**j * (1 - q) ** (m - j) for j in range(min(params.lam, m + 1)))
+
+
+@pytest.mark.parametrize("params,p", [
+    (DesignParams(12, 4, 2, 2), 0.1),
+    (DesignParams(9, 4, 2, 3), 0.2),
+    (DesignParams(16, 4, 2, 1), 0.5),  # a far tail: about 5e-26
+    (DesignParams(10, 3, 1, 5), 0.9),
+    (DesignParams(20, 5, 2, 4), 0.005),
+    (DesignParams(22, 6, 3, 6), 0.004),
+    (DesignParams(5, 4, 3, 5), 0.5),  # lam - 1 >= M: every term of the law
+])
+def test_expected_deficient_matches_exact_sum(params, p):
+    exact = float(_expected_deficient_exact(params, p))
+    assert abs(expected_deficient(params, p) - exact) <= 1e-12 * exact
+
+
+def test_expected_deficient_when_lam_exceeds_supersets():
+    # M = C(2, 1) = 2 covers per 3-set, lam - 1 = 4: every 3-set is deficient
+    params = DesignParams(5, 4, 3, 5)
+    for p in (0.0, 0.5, 1.0):
+        assert expected_deficient(params, p) == pytest.approx(10, rel=1e-12)
 
 
 def test_trials_match_mask_level_ops():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import count_undercovered
+from threshold_lab import perms
 from threshold_lab.errors import BudgetExceededError
 from threshold_lab.perms import (
     cover_trial,
@@ -203,3 +205,23 @@ def test_packing_bounds():
             lo, hi = packing_threshold_bounds(n, lam)
             assert lo < hi
             assert abs(hi / lo - n ** (2 / (lam + 1))) < 1e-9
+
+
+def test_pattern_table_budget(monkeypatch):
+    # n = 10 (11! x 11 ranks, about 3.7 GiB to build) is refused before any allocation
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="memory budget"):
+            pattern_rank_table(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # n = 9, the largest `perm --n`, passes the budget and starts building
+
+    def build_started(m):
+        raise LookupError(m)
+
+    monkeypatch.setattr(perms, "_lex_perms", build_started)
+    with pytest.raises(LookupError, match="10"):
+        pattern_rank_table.__wrapped__(9)

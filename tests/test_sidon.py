@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from threshold_lab.errors import BudgetExceededError
 from threshold_lab.rng import derive_stream
 from threshold_lab.sidon import (
+    _as_element_array,
     _max_multiplicity,
     basis_threshold_p,
     bh_g_trial,
@@ -87,6 +88,20 @@ def test_removal_preserves_bounded_multiplicity(elements, h, g):
     if is_bh_g(elements, h, g):
         assert is_bh_g(elements[1:], h, g)
         assert is_bh_g(elements[:-1], h, g)
+
+
+@pytest.mark.parametrize("elements", [
+    [8, 0, 4], {4, 8, 0}, range(8, -1, -4), np.array([4, 8, 0], dtype=np.int32)])
+def test_element_array_accepts_any_order_and_container(elements):
+    arr = _as_element_array(elements)
+    assert arr.dtype == np.int64 and arr.tolist() == [0, 4, 8]
+
+
+@pytest.mark.parametrize("elements,match", [
+    ([1, -2], "non-negative"), ([3, 1, 3], "distinct"), (np.array([2, 2]), "distinct")])
+def test_element_array_rejects_negative_and_repeated(elements, match):
+    with pytest.raises(ValueError, match=match):
+        _as_element_array(elements)
 
 
 def test_truncated_basis_full_and_empty():
