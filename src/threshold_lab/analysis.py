@@ -11,17 +11,15 @@ growth-rate regression.
 from __future__ import annotations
 
 import math
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BracketError
 from .rng import bernoulli_ranks, derive_stream
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "EULER_GAMMA",
@@ -48,6 +46,10 @@ _LAST_TERM_T1_MAX = 20
 
 _Z95 = 1.959963984540054
 
+# wall seconds a pool of trials costs before it saves any (its import, fork,
+# first map and shutdown), measured on a 2-vCPU VM, see BENCH_11.json
+_POOL_START_S = 0.08
+
 
 def selected_row_counts(
     table: np.ndarray, n_bins: int, p: float, stream: np.random.Generator
@@ -71,19 +73,22 @@ def overfull_count(profile: np.ndarray, lam: int) -> int:
     return int(np.count_nonzero(profile >= lam + 1))
 
 
-def _log_binom_pmf(n: int, j: int, p: float) -> float:
-    """log of C(n,j) p^j (1-p)^(n-j); -inf where the mass is exactly zero."""
-    if p == 0.0:
-        return 0.0 if j == 0 else -math.inf
-    if p == 1.0:
-        return 0.0 if j == n else -math.inf
-    return (
-        math.lgamma(n + 1)
-        - math.lgamma(j + 1)
-        - math.lgamma(n - j + 1)
-        + j * math.log(p)
-        + (n - j) * math.log1p(-p)
-    )
+def _log_binom_pmfs(n: int, p: float, t0: int, t1: int) -> list[float]:
+    """log of C(n,j) p^j (1-p)^(n-j) for j = t0..t1; -inf where the mass is exactly zero.
+
+    C(n, j) is carried from term to term as an exact integer, so its log does
+    not lose eps * n ln n to the cancellation of lgamma differences.
+    """
+    if p in (0.0, 1.0):
+        full = 0 if p == 0.0 else n
+        return [0.0 if j == full else -math.inf for j in range(t0, t1 + 1)]
+    log_p, log_q = math.log(p), math.log1p(-p)
+    out = []
+    c = math.comb(n, t0)
+    for j in range(t0, t1 + 1):
+        out.append(math.log(c) + j * log_p + (n - j) * log_q)
+        c = c * (n - j) // (j + 1)
+    return out
 
 
 def binomial_tail(n: int, p: float, t0: int, t1: int) -> float:
@@ -96,7 +101,7 @@ def binomial_tail(n: int, p: float, t0: int, t1: int) -> float:
         raise ValueError("p must lie in [0, 1]")
     if not 0 <= t0 <= t1 <= n:
         raise ValueError("need 0 <= t0 <= t1 <= n")
-    return math.fsum(math.exp(_log_binom_pmf(n, j, p)) for j in range(t0, t1 + 1))
+    return math.fsum(math.exp(log_pmf) for log_pmf in _log_binom_pmfs(n, p, t0, t1))
 
 
 def binomial_tail_term_ratio(
@@ -115,15 +120,13 @@ def binomial_tail_term_ratio(
         raise ValueError(f"last-term mode requires t1 <= {_LAST_TERM_T1_MAX}")
     if not 0 <= t0 <= t1 <= n:
         raise ValueError("need 0 <= t0 <= t1 <= n")
-    j = t0 if mode == "first" else t1
-    log_term = _log_binom_pmf(n, j, p)
+    log_pmfs = _log_binom_pmfs(n, p, t0, t1)
+    log_term = log_pmfs[0 if mode == "first" else -1]
     if log_term == -math.inf:
         raise ValueError("designated term is zero")
     # summed relative to the designated term so the ratio survives even when
     # every absolute term underflows
-    return math.fsum(
-        math.exp(_log_binom_pmf(n, i, p) - log_term) for i in range(t0, t1 + 1)
-    )
+    return math.fsum(math.exp(log_pmf - log_term) for log_pmf in log_pmfs)
 
 
 def _poisson_pmf(j: int, mu: float) -> float:
@@ -214,12 +217,29 @@ def _run_chunk(args) -> list:
     return [trial_fn(stream := derive_stream(seed, i, stream)) for i in indices]
 
 
-def _pool(workers: int):
-    """A process pool of ``workers``, or a null context yielding None at one worker."""
-    if workers <= 1:
-        return nullcontext()
-    from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads it
-    return ProcessPoolExecutor(max_workers=workers)
+class _Pool:
+    """A process pool of ``workers`` that opens on first use; leaving it shuts
+    down whatever was opened."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._executor = None
+
+    def map(self, fn, jobs):
+        if self._executor is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads it
+            # fork, so workers inherit the parent's cached tables (3.14 defaults to forkserver)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers, mp_context=multiprocessing.get_context("fork"))
+        return self._executor.map(fn, jobs)
+
+    def __enter__(self) -> _Pool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
 
 
 def map_trials(
@@ -228,26 +248,46 @@ def map_trials(
     seed: int,
     workers: int = 1,
     *,
-    pool: ProcessPoolExecutor | None = None,
+    pool: _Pool | None = None,
 ) -> list:
     """Run ``trial_fn`` once per trial index and return results in index order.
 
     Each trial receives ``derive_stream(seed, index)``, one generator re-keyed
     per trial that a trial must not keep, so the output list is identical for
-    any worker count.  With ``workers > 1`` the trial function must be
-    picklable (a top-level function or partial of one), and the contiguous
-    index ranges run on ``pool`` if given, else on a pool opened for this
-    call; ``executor.map`` yields them in order.
+    any worker count.  The calling process runs the trials in order.  With
+    ``workers > 1`` it prices the trials left at the time per trial since
+    trial 0 (whose time includes any table build); once what a pool would
+    save, ``rest * (1 - 1/workers)``, exceeds ``_POOL_START_S``, the rest
+    runs in contiguous index ranges on ``pool`` if given, else on a pool
+    opened for this call.  The pool forks after trial 0, so its workers
+    inherit the tables that trial built; the trial function must then be
+    picklable (a top-level function or partial of one).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if workers <= 1 or trials == 1:
+    if workers <= 1:
         return _run_chunk((trial_fn, seed, range(trials)))
-    n_chunks = min(trials, workers * 4)
-    jobs = [(trial_fn, seed, range(c * trials // n_chunks, (c + 1) * trials // n_chunks))
+    results = []
+    stream = None
+    for i in range(trials):
+        # priced only once the trials since trial 0 have run for a tenth of
+        # the pool's cost, so a slow warm-up trial does not open a pool
+        if i >= 2 and (measured := time.perf_counter() - since) > _POOL_START_S / 10:
+            if (trials - i) * measured / (i - 1) * (1 - 1 / workers) > _POOL_START_S:
+                with _Pool(workers) if pool is None else nullcontext(pool) as executor:
+                    return results + _map_pooled(trial_fn, seed, range(i, trials), executor)
+        results.append(trial_fn(stream := derive_stream(seed, i, stream)))
+        if i == 0:
+            since = time.perf_counter()
+    return results
+
+
+def _map_pooled(trial_fn, seed: int, indices: range, pool: _Pool) -> list:
+    """Results of ``indices``, run as contiguous ranges on ``pool`` and yielded in order."""
+    n_chunks = min(len(indices), pool.workers * 4)
+    jobs = [(trial_fn, seed, indices[c * len(indices) // n_chunks:(c + 1) * len(indices) // n_chunks])
             for c in range(n_chunks)]
-    with _pool(workers) if pool is None else nullcontext(pool) as executor:
-        return [value for part in executor.map(_run_chunk, jobs) for value in part]
+    return [value for part in pool.map(_run_chunk, jobs) for value in part]
 
 
 def run_trials(
@@ -256,7 +296,7 @@ def run_trials(
     seed: int,
     workers: int = 1,
     *,
-    pool: ProcessPoolExecutor | None = None,
+    pool: _Pool | None = None,
 ) -> MonteCarloSummary:
     """Estimate a success probability with a Wilson 95% interval."""
     results = map_trials(trial_fn, trials, seed, workers, pool=pool)
@@ -290,8 +330,9 @@ def threshold_bisect(
     value; ``increasing`` declares whether the success probability rises with
     the parameter.  Endpoints must straddle the target beyond their Wilson
     intervals or a BracketError is raised.  Every probe gets a fresh sub-seed
-    derived from ``(seed, probe_index)``.  With ``workers > 1`` all probes
-    share one pool, shut down however the bisection ends.
+    derived from ``(seed, probe_index)``.  With ``workers > 1`` the probes
+    that open a pool (see ``map_trials``) share one, shut down however the
+    bisection ends.
     """
     if not p_lo < p_hi:
         raise ValueError("need p_lo < p_hi")
@@ -306,7 +347,7 @@ def threshold_bisect(
         return summary
 
     # one pool for every probe, so its workers start once and keep their table caches
-    with _pool(workers) as pool:
+    with _Pool(workers) as pool:
         s_lo = evaluate(p_lo)
         s_hi = evaluate(p_hi)
         lo_ok = s_lo.ci_high < target if increasing else s_lo.ci_low > target

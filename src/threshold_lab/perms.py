@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import permutations as _all_perms
+from itertools import combinations, permutations as _all_perms
 from math import factorial
 
 import numpy as np
@@ -262,9 +262,7 @@ def verify_joint_bounds(max_n: int) -> list[tuple[int, bool, int, bool, int]]:
     for n in range(2, max_n + 1):
         perms = list(_all_perms(range(1, n + 1)))
         max_nbhd = max(len(joint_cover_neighborhood(p)) for p in perms)
-        max_joint = 0
-        for i, p1 in enumerate(perms):
-            for p2 in perms[i + 1 :]:
-                max_joint = max(max_joint, len(joint_covers(p1, p2)))
+        cover_sets = [covering_set(p) for p in perms]
+        max_joint = max(len(a & b) for a, b in combinations(cover_sets, 2))
         rows.append((n, max_nbhd <= n**3, max_nbhd, max_joint <= 4, max_joint))
     return rows

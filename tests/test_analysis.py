@@ -1,12 +1,14 @@
 import concurrent.futures
 import math
 import multiprocessing
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from threshold_lab import analysis, designs
 from threshold_lab.analysis import (
     EULER_GAMMA,
     binomial_tail,
@@ -47,6 +49,23 @@ def test_tail_complementarity():
 
 def test_tail_matches_scipy():
     assert abs(binomial_tail(50, 0.2, 3, 17) - (stats.binom.cdf(17, 50, 0.2) - stats.binom.cdf(2, 50, 0.2))) < 1e-12
+
+
+def _exact_tail(n, p, t0, t1):
+    p = Fraction(p)  # the float's exact value, and 1 - p exactly
+    inner = sum(math.comb(n, j) * p ** (j - t0) * (1 - p) ** (t1 - j) for j in range(t0, t1 + 1))
+    return inner * p**t0 * (1 - p) ** (n - t1)
+
+
+@pytest.mark.parametrize("n", [924, 8855])
+def test_tail_matches_exact_rational_sums(n):
+    # lower tails as expected_deficient sums them, and windows around the mean
+    for p in (1e-4, 1e-3, 0.01, 0.05, 0.2):
+        mean = int(n * p)
+        for t0, t1 in ((0, 0), (0, 1), (0, 4), (2, 9), (max(0, mean - 5), mean + 5)):
+            exact = float(_exact_tail(n, p, t0, t1))
+            if exact > 1e-300:  # past that a float tail underflows
+                assert abs(binomial_tail(n, p, t0, t1) / exact - 1) < 1e-13, (p, t0, t1)
 
 
 def test_term_ratio_small_np():
@@ -170,11 +189,55 @@ def _index_draw(stream):
 
 
 @pytest.mark.parametrize("trials,workers", [(1, 2), (2, 2), (7, 2), (9, 3), (64, 2)])
-def test_map_trials_worker_invariance(trials, workers):
+def test_map_trials_worker_invariance(monkeypatch, opened, trials, workers):
     # results come back in trial order however the indices are split into chunks
     expected = [_index_draw(derive_stream(5, i)) for i in range(trials)]
     assert map_trials(_index_draw, trials, seed=5, workers=1) == expected
     assert map_trials(_index_draw, trials, seed=5, workers=workers) == expected
+    # with a free pool every run of three or more trials hands its tail to the pool
+    monkeypatch.setattr(analysis, "_POOL_START_S", 0.0)
+    assert map_trials(_index_draw, trials, seed=5, workers=workers) == expected
+    assert opened == ([workers] if trials > 2 else [])
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The ``max_workers`` of every pool opened during the test."""
+    opened = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    # analysis imports the pool class from concurrent.futures when it opens one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return opened
+
+
+def test_cheap_trials_open_no_pool(opened):
+    assert map_trials(_index_draw, 2000, seed=5, workers=2) == map_trials(
+        _index_draw, 2000, seed=5, workers=1)
+    args = (lambda p: partial(_biased_coin, p=p), 0.0, 1.0)
+    kwargs = dict(trials_per_eval=400, tol=0.05, seed=3, increasing=True)
+    assert threshold_bisect(*args, workers=2, **kwargs).rows == threshold_bisect(
+        *args, workers=1, **kwargs).rows
+    assert opened == []
+
+
+def _incidence_builds_before(stream):
+    builds = designs._coverage_incidence.cache_info().misses
+    designs._coverage_incidence(12, 4, 2)
+    return builds
+
+
+def test_forked_workers_inherit_the_parents_tables(monkeypatch, opened):
+    # trial 0 builds the table in the parent; the pool forks after it, so no
+    # trial on a worker finds the table missing
+    monkeypatch.setattr(analysis, "_POOL_START_S", 0.0)
+    designs._coverage_incidence.cache_clear()
+    assert map_trials(_incidence_builds_before, 16, seed=0, workers=2) == [0] + [1] * 15
+    assert opened == [2]
 
 
 def _step_trial(stream, param, knee):
@@ -229,16 +292,9 @@ def test_bisect_bracket_violation():
         )
 
 
-def test_bisect_runs_every_probe_on_one_pool(monkeypatch):
-    opened = []
-
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    # analysis imports the pool class from concurrent.futures when it opens one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+def test_bisect_runs_every_probe_on_one_pool(monkeypatch, opened):
+    # cheap probes open no pool, so a free pool stands in for costly ones
+    monkeypatch.setattr(analysis, "_POOL_START_S", 0.0)
     args = (lambda p: partial(_biased_coin, p=p), 0.0, 1.0)
     kwargs = dict(trials_per_eval=40, tol=0.05, seed=3, increasing=True)
     pooled = threshold_bisect(*args, workers=2, **kwargs)
@@ -249,7 +305,8 @@ def test_bisect_runs_every_probe_on_one_pool(monkeypatch):
     assert pooled.p_half == serial.p_half
 
 
-def test_bisect_bracket_violation_shuts_pool_down():
+def test_bisect_bracket_violation_shuts_pool_down(monkeypatch, opened):
+    monkeypatch.setattr(analysis, "_POOL_START_S", 0.0)
     with pytest.raises(BracketError):
         threshold_bisect(
             lambda p: partial(_step_trial, param=p, knee=2.0),  # always true
@@ -261,6 +318,7 @@ def test_bisect_bracket_violation_shuts_pool_down():
             increasing=False,
             workers=2,
         )
+    assert opened == [2]
     assert multiprocessing.active_children() == []
 
 
