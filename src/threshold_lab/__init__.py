@@ -22,8 +22,7 @@ _PUBLIC = {
     "designs": "DesignParams covering_threshold_p deficiency_count expected_deficient "
                "overfull_count packing_threshold_p",
     "errors": "BracketError BudgetExceededError",
-    "perms": "covering_set covers delete_and_flatten joint_cover_neighborhood joint_covers "
-             "packing_threshold_bounds",
+    "perms": "covering_set joint_covers packing_threshold_bounds",
     "rng": "bernoulli_ranks derive_stream throw_balls",
     "sidon": "basis_threshold_p count_equal_sum_tuples is_bh_g is_truncated_basis "
              "representation_counts sidon_threshold_k",

@@ -79,6 +79,10 @@ def _log_binom_pmfs(n: int, p: float, t0: int, t1: int) -> list[float]:
     C(n, j) is carried from term to term as an exact integer, so its log does
     not lose eps * n ln n to the cancellation of lgamma differences.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if not 0 <= t0 <= t1 <= n:
+        raise ValueError("need 0 <= t0 <= t1 <= n")
     if p in (0.0, 1.0):
         full = 0 if p == 0.0 else n
         return [0.0 if j == full else -math.inf for j in range(t0, t1 + 1)]
@@ -97,10 +101,6 @@ def binomial_tail(n: int, p: float, t0: int, t1: int) -> float:
     Terms are formed in log space and accumulated with compensated summation,
     so the result stays accurate even when individual factors underflow.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if not 0 <= t0 <= t1 <= n:
-        raise ValueError("need 0 <= t0 <= t1 <= n")
     return math.fsum(math.exp(log_pmf) for log_pmf in _log_binom_pmfs(n, p, t0, t1))
 
 
@@ -118,8 +118,6 @@ def binomial_tail_term_ratio(
         raise ValueError("mode must be 'first' or 'last'")
     if mode == "last" and t1 > _LAST_TERM_T1_MAX:
         raise ValueError(f"last-term mode requires t1 <= {_LAST_TERM_T1_MAX}")
-    if not 0 <= t0 <= t1 <= n:
-        raise ValueError("need 0 <= t0 <= t1 <= n")
     log_pmfs = _log_binom_pmfs(n, p, t0, t1)
     log_term = log_pmfs[0 if mode == "first" else -1]
     if log_term == -math.inf:
@@ -139,7 +137,7 @@ def poisson_tv_distance(histogram: Mapping[int, int], mu: float) -> float:
     The histogram maps observed values to occurrence counts.  Poisson mass
     beyond the largest observed value is folded into the distance.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive")
     if not histogram:
         raise ValueError("histogram must be non-empty")
@@ -218,8 +216,9 @@ def _run_chunk(args) -> list:
 
 
 class _Pool:
-    """A process pool of ``workers`` that opens on first use; leaving it shuts
-    down whatever was opened."""
+    """A process pool of up to ``workers`` that opens on first use, with no
+    more processes than that first map has jobs (a pool shared by several
+    maps keeps that size); leaving it shuts down whatever was opened."""
 
     def __init__(self, workers: int):
         self.workers = workers
@@ -229,9 +228,11 @@ class _Pool:
         if self._executor is None:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads it
-            # fork, so workers inherit the parent's cached tables (3.14 defaults to forkserver)
+            # fork, so workers inherit the parent's cached tables (3.14 defaults to
+            # forkserver); a forking pool starts all its processes at the first submit
             self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=multiprocessing.get_context("fork"))
+                max_workers=min(self.workers, len(jobs)),
+                mp_context=multiprocessing.get_context("fork"))
         return self._executor.map(fn, jobs)
 
     def __enter__(self) -> _Pool:
@@ -256,12 +257,13 @@ def map_trials(
     per trial that a trial must not keep, so the output list is identical for
     any worker count.  The calling process runs the trials in order.  With
     ``workers > 1`` it prices the trials left at the time per trial since
-    trial 0 (whose time includes any table build); once what a pool would
-    save, ``rest * (1 - 1/workers)``, exceeds ``_POOL_START_S``, the rest
-    runs in contiguous index ranges on ``pool`` if given, else on a pool
-    opened for this call.  The pool forks after trial 0, so its workers
-    inherit the tables that trial built; the trial function must then be
-    picklable (a top-level function or partial of one).
+    trial 0 (whose time includes any table build); once what a pool of
+    ``w = min(workers, rest)`` processes would save, ``rest * (1 - 1/w)``,
+    exceeds ``_POOL_START_S``, the rest runs in contiguous index ranges on
+    ``pool`` if given, else on a pool opened for this call.  The pool forks
+    after trial 0, so its workers inherit the tables that trial built; the
+    trial function must then be picklable (a top-level function or partial
+    of one).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -273,7 +275,8 @@ def map_trials(
         # priced only once the trials since trial 0 have run for a tenth of
         # the pool's cost, so a slow warm-up trial does not open a pool
         if i >= 2 and (measured := time.perf_counter() - since) > _POOL_START_S / 10:
-            if (trials - i) * measured / (i - 1) * (1 - 1 / workers) > _POOL_START_S:
+            rest = trials - i
+            if rest * measured / (i - 1) * (1 - 1 / min(workers, rest)) > _POOL_START_S:
                 with _Pool(workers) if pool is None else nullcontext(pool) as executor:
                     return results + _map_pooled(trial_fn, seed, range(i, trials), executor)
         results.append(trial_fn(stream := derive_stream(seed, i, stream)))

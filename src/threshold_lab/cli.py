@@ -270,8 +270,8 @@ _EXPERIMENTS = {
         "--hi": _req(float, help="bracket high end (k scale)"), **_BISECT,
     }, "bisect", _sidon_scan),
     "perm verify-lemmas": _Experiment("exhaustive cover-count and joint-cover checks", {
-        "--max-n": {"type": _number_in(int, 2, 6), "default": 5},
-        "--max-n-cover": {"type": _number_in(int, 1, 7), "default": None,
+        "--max-n": {"type": _number_in(int, 2, 8), "default": 5},
+        "--max-n-cover": {"type": _number_in(int, 1, 9), "default": None,
                           "help": "cover-count check size (default max-n + 1)"},
     }, "table", lambda args: _checks(
         args.max_n, args.max_n + 1 if args.max_n_cover is None else args.max_n_cover)),

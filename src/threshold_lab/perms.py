@@ -1,35 +1,30 @@
 """Order-isomorphic pattern containment between adjacent permutation sizes.
 
 A permutation rho of [n+1] covers pi of [n] when deleting one entry of rho
-and flattening the rest onto [n] yields pi.  This module provides the
-elementary deletion/insertion machinery, exhaustive verifiers for the
-cover-count and joint-coverability facts, and the Monte Carlo trials for
-covering and packing transitions over random subsets of the larger
-symmetric group.
+and flattening the rest onto [n] yields pi.  ``pattern_rank_table`` holds
+that relation for all of S_{n+1} at once, as lex ranks; the Monte Carlo
+covering and packing trials and the exact checks of the two lemmas (n^2 + 1
+covers per pattern, at most 4 shared by two patterns) all read it.
+``covering_set`` and ``joint_covers`` build single cover sets by value
+insertion, for small examples.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, permutations as _all_perms
 from math import factorial
 
 import numpy as np
 
 from .analysis import deficiency_count, overfull_count, selected_row_counts
-from .errors import BudgetExceededError, check_budget
+from .errors import check_budget
 
 __all__ = [
-    "delete_and_flatten",
-    "covers",
     "covering_set",
     "joint_covers",
-    "joint_cover_neighborhood",
     "covering_threshold_p",
     "packing_threshold_bounds",
-    "lex_rank",
-    "lex_unrank",
     "pattern_rank_table",
     "cover_trial",
     "pack_trial",
@@ -37,32 +32,10 @@ __all__ = [
     "verify_joint_bounds",
 ]
 
-# exhaustive verifier and neighborhood budgets; factorial growth beyond
-_MAX_EXHAUSTIVE_N = 6
-
 
 def _check_perm(perm: tuple[int, ...]) -> None:
     if sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError(f"{perm!r} is not a permutation of 1..{len(perm)}")
-
-
-def delete_and_flatten(rho: tuple[int, ...], position: int) -> tuple[int, ...]:
-    """Remove the entry at 1-based ``position`` and flatten onto [m-1].
-
-    Every remaining entry larger than the removed value drops by one.
-    """
-    m = len(rho)
-    if not 1 <= position <= m:
-        raise ValueError(f"position must lie in [1, {m}]")
-    removed = rho[position - 1]
-    return tuple(e - 1 if e > removed else e for i, e in enumerate(rho) if i != position - 1)
-
-
-def covers(rho: tuple[int, ...], pi: tuple[int, ...]) -> bool:
-    """True when some single deletion of rho flattens to pi."""
-    if len(rho) != len(pi) + 1:
-        raise ValueError("rho must be exactly one entry longer than pi")
-    return any(delete_and_flatten(rho, i) == pi for i in range(1, len(rho) + 1))
 
 
 def covering_set(pi: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -91,20 +64,6 @@ def joint_covers(
     if pi == pi2:
         raise ValueError("patterns must be distinct")
     return covering_set(pi) & covering_set(pi2)
-
-
-def joint_cover_neighborhood(pi: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """All patterns other than pi sharing a cover with pi (exhaustive, n <= 6)."""
-    _check_perm(pi)
-    n = len(pi)
-    if n > _MAX_EXHAUSTIVE_N:
-        raise BudgetExceededError(f"exhaustive neighborhood capped at n = {_MAX_EXHAUSTIVE_N}")
-    out: set[tuple[int, ...]] = set()
-    for rho in covering_set(pi):
-        for i in range(1, n + 2):
-            out.add(delete_and_flatten(rho, i))
-    out.discard(pi)
-    return out
 
 
 def covering_threshold_p(n: int, lam: int, r: float, clamp: bool = False) -> float:
@@ -142,29 +101,6 @@ def packing_threshold_bounds(n: int, lam: int) -> tuple[float, float]:
     p_low = scale / n**2
     p_high = scale / n ** (2 * lam / (lam + 1))
     return p_low, p_high
-
-
-def lex_rank(perm: tuple[int, ...]) -> int:
-    """Lexicographic rank of a permutation of [m] among all m! permutations."""
-    m = len(perm)
-    rank = 0
-    for i in range(m):
-        smaller = sum(1 for j in range(i + 1, m) if perm[j] < perm[i])
-        rank += smaller * factorial(m - 1 - i)
-    return rank
-
-
-def lex_unrank(rank: int, m: int) -> tuple[int, ...]:
-    """Permutation of [m] at the given lexicographic rank."""
-    if not 0 <= rank < factorial(m):
-        raise ValueError("rank out of range")
-    pool = list(range(1, m + 1))
-    out = []
-    for i in range(m, 0, -1):
-        f = factorial(i - 1)
-        idx, rank = divmod(rank, f)
-        out.append(pool.pop(idx))
-    return tuple(out)
 
 
 def _lex_perms(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,30 +175,52 @@ def pack_trial(
 
 
 def verify_cover_counts(max_n: int) -> list[tuple[int, bool, int, int]]:
-    """Exhaustively check |covering_set(pi)| = n^2 + 1 for every pattern.
+    """Check |covering_set(pi)| = n^2 + 1 for every pattern, from a bincount
+    of the pattern table per size.
 
     Returns one (n, ok, worst observed, expected) row per size.
     """
     rows = []
     for n in range(1, max_n + 1):
         expected = n * n + 1
-        sizes = {len(covering_set(p)) for p in _all_perms(range(1, n + 1))}
-        rows.append((n, sizes == {expected}, max(sizes), expected))
+        # column by column, as bincount copies its input to int64 (290 MB for all of n = 9)
+        columns = pattern_rank_table(n).T
+        counts = sum(np.bincount(col, minlength=factorial(n) + 1) for col in columns)[:-1]
+        rows.append((n, bool((counts == expected).all()), int(counts.max()), expected))
     return rows
 
 
-def verify_joint_bounds(max_n: int) -> list[tuple[int, bool, int, bool, int]]:
-    """Exhaustively check joint-coverability bounds for every pattern pair.
+def _joint_pair_keys(n: int) -> np.ndarray:
+    """a * n! + b for every pair of patterns a < b that one row of the
+    pattern table covers together, one key per row and pair; its own
+    function so that its temporaries are freed before the keys are sorted."""
+    left, right = np.triu_indices(n + 1, 1)
+    rows = factorial(n + 1)
+    # tracemalloc peaks near 24 bytes a pair, here and in the caller's unique
+    check_budget(24 * rows * len(left), f"pattern pairs of {rows} x {len(left)}")
+    table, sentinel = pattern_rank_table(n), factorial(n)
+    # a row's real entries increase left to right, so each pair has a < b; a
+    # sentinel may sit left of a real entry, so the mask tests both sides
+    keys = table[:, left].astype(np.int64)
+    real = (keys != sentinel) & (table[:, right] != sentinel)
+    keys *= sentinel
+    keys += table[:, right]
+    return keys[real]
 
-    Per size n: the neighborhood of any pattern has at most n^3 members, and
-    any two distinct patterns share at most 4 covers.  Returns rows
+
+def verify_joint_bounds(max_n: int) -> list[tuple[int, bool, int, bool, int]]:
+    """Check the joint-coverability bounds for every pattern pair, from the
+    pattern pairs that each row of the pattern table covers together.
+
+    Per size n: the neighborhood of any pattern (the patterns sharing a cover
+    with it) has at most n^3 members, and any two distinct patterns share at
+    most 4 covers.  Returns rows
     (n, neighborhood ok, max neighborhood, pair ok, max joint covers).
     """
     rows = []
     for n in range(2, max_n + 1):
-        perms = list(_all_perms(range(1, n + 1)))
-        max_nbhd = max(len(joint_cover_neighborhood(p)) for p in perms)
-        cover_sets = [covering_set(p) for p in perms]
-        max_joint = max(len(a & b) for a, b in combinations(cover_sets, 2))
+        pairs, shared = np.unique(_joint_pair_keys(n), return_counts=True)
+        neighbors = np.bincount(np.concatenate([pairs // factorial(n), pairs % factorial(n)]))
+        max_nbhd, max_joint = int(neighbors.max()), int(shared.max())
         rows.append((n, max_nbhd <= n**3, max_nbhd, max_joint <= 4, max_joint))
     return rows

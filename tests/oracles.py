@@ -4,12 +4,16 @@ and selects with one coin per object of the universe, or throws one ball at a
 time; the counters and tables loop over pairs and subsets one at a time."""
 
 from collections import Counter, defaultdict
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import numpy as np
 
 from threshold_lab import designs, perms, sidon, unionfree
+from threshold_lab.errors import BudgetExceededError
+
+# largest pattern size the set-based neighborhood enumerates
+_MAX_NEIGHBORHOOD_N = 6
 
 
 def dense_bernoulli_ranks(universe_size, p, stream):
@@ -74,12 +78,84 @@ def tset_profile(ranks, n, k, t):
     return np.array([sum(m & tm == tm for m in chosen) for tm in tmasks], dtype=np.int64)
 
 
+def delete_and_flatten(rho, position):
+    """Remove the entry at 1-based ``position`` and flatten onto [m-1]: every
+    remaining entry larger than the removed value drops by one."""
+    m = len(rho)
+    if not 1 <= position <= m:
+        raise ValueError(f"position must lie in [1, {m}]")
+    removed = rho[position - 1]
+    return tuple(e - 1 if e > removed else e for i, e in enumerate(rho) if i != position - 1)
+
+
+def covers(rho, pi):
+    """True when some single deletion of rho flattens to pi."""
+    if len(rho) != len(pi) + 1:
+        raise ValueError("rho must be exactly one entry longer than pi")
+    return any(delete_and_flatten(rho, i) == pi for i in range(1, len(rho) + 1))
+
+
+def joint_cover_neighborhood(pi):
+    """All patterns other than pi sharing a cover with pi, by deleting each
+    entry of each cover in turn."""
+    n = len(pi)
+    if n > _MAX_NEIGHBORHOOD_N:
+        raise BudgetExceededError(f"set-based neighborhood capped at n = {_MAX_NEIGHBORHOOD_N}")
+    out = {delete_and_flatten(rho, i) for rho in perms.covering_set(pi) for i in range(1, n + 2)}
+    out.discard(pi)
+    return out
+
+
+def lex_rank(perm):
+    """Lexicographic rank of a permutation of [m] among all m! permutations."""
+    m = len(perm)
+    return sum(
+        sum(1 for j in range(i + 1, m) if perm[j] < perm[i]) * factorial(m - 1 - i)
+        for i in range(m)
+    )
+
+
+def lex_unrank(rank, m):
+    """Permutation of [m] at the given lexicographic rank."""
+    if not 0 <= rank < factorial(m):
+        raise ValueError("rank out of range")
+    pool = list(range(1, m + 1))
+    out = []
+    for i in range(m, 0, -1):
+        idx, rank = divmod(rank, factorial(i - 1))
+        out.append(pool.pop(idx))
+    return tuple(out)
+
+
+def verify_cover_counts(max_n):
+    """``perms.verify_cover_counts`` from the size of every pattern's covering set."""
+    rows = []
+    for n in range(1, max_n + 1):
+        expected = n * n + 1
+        sizes = {len(perms.covering_set(p)) for p in permutations(range(1, n + 1))}
+        rows.append((n, sizes == {expected}, max(sizes), expected))
+    return rows
+
+
+def verify_joint_bounds(max_n):
+    """``perms.verify_joint_bounds`` from every pattern's neighborhood and the
+    intersection of every pair of covering sets."""
+    rows = []
+    for n in range(2, max_n + 1):
+        pats = list(permutations(range(1, n + 1)))
+        max_nbhd = max(len(joint_cover_neighborhood(p)) for p in pats)
+        cover_sets = [perms.covering_set(p) for p in pats]
+        max_joint = max(len(a & b) for a, b in combinations(cover_sets, 2))
+        rows.append((n, max_nbhd <= n**3, max_nbhd, max_joint <= 4, max_joint))
+    return rows
+
+
 def count_undercovered(cover_family, n, lam):
     """Number of patterns of [n] covered by fewer than lam family members,
     from each member's set of single-deletion patterns."""
     hits = Counter()
     for rho in cover_family:
-        hits.update({perms.delete_and_flatten(rho, i) for i in range(1, n + 2)})
+        hits.update({delete_and_flatten(rho, i) for i in range(1, n + 2)})
     return factorial(n) - sum(1 for c in hits.values() if c >= lam)
 
 

@@ -86,6 +86,21 @@ def test_term_ratio_degenerate():
     assert binomial_tail_term_ratio(50, 0.3, 4, 4, mode="last") == 1.0
 
 
+@pytest.mark.parametrize("p", [math.nan, -0.2, 1.5])
+def test_binomial_functions_reject_p_outside_unit_interval(p):
+    with pytest.raises(ValueError, match="p must lie in"):
+        binomial_tail(10, p, 0, 3)
+    for mode in ("first", "last"):
+        with pytest.raises(ValueError, match="p must lie in"):
+            binomial_tail_term_ratio(10, p, 0, 3, mode=mode)
+
+
+@pytest.mark.parametrize("mu", [math.nan, 0.0, -0.2])
+def test_tv_rejects_non_positive_mu(mu):
+    with pytest.raises(ValueError, match="mu must be positive"):
+        poisson_tv_distance({0: 1, 1: 1}, mu)
+
+
 def test_term_ratio_guards():
     with pytest.raises(ValueError):
         binomial_tail_term_ratio(100, 0.5, 0, 21, mode="last")
@@ -188,16 +203,18 @@ def _index_draw(stream):
     return int(stream.integers(1 << 62))
 
 
-@pytest.mark.parametrize("trials,workers", [(1, 2), (2, 2), (7, 2), (9, 3), (64, 2)])
+@pytest.mark.parametrize(
+    "trials,workers", [(1, 2), (2, 2), (7, 2), (9, 3), (64, 2), (3, 2), (4, 3), (5, 4)])
 def test_map_trials_worker_invariance(monkeypatch, opened, trials, workers):
     # results come back in trial order however the indices are split into chunks
     expected = [_index_draw(derive_stream(5, i)) for i in range(trials)]
     assert map_trials(_index_draw, trials, seed=5, workers=1) == expected
     assert map_trials(_index_draw, trials, seed=5, workers=workers) == expected
-    # with a free pool every run of three or more trials hands its tail to the pool
+    # with a free pool the trials after the first two go to a pool of at most
+    # one process each, and a single trial left is not worth one
     monkeypatch.setattr(analysis, "_POOL_START_S", 0.0)
     assert map_trials(_index_draw, trials, seed=5, workers=workers) == expected
-    assert opened == ([workers] if trials > 2 else [])
+    assert opened == ([min(workers, trials - 2)] if trials > 3 else [])
 
 
 @pytest.fixture

@@ -259,6 +259,8 @@ def no_trials(monkeypatch):
         "sidon enum-bhg --n 20 --h 2 --g 1 --l 0",
         "sidon enum-bhg --n 20 --h 2 --g 1 --l -1",
         "perm verify-lemmas --max-n 2 --max-n-cover -3",
+        "perm verify-lemmas --max-n 9",
+        "perm verify-lemmas --max-n 2 --max-n-cover 10",
         "sidon basis --n 1000 --h 2 --g 0 --alpha 0.5 --trials 3",
         # float64 Gamma draws stop resolving the waiting time's spread
         "balls --boxes 3 --lambda 4294967297 --waiting --trials 1",
@@ -299,8 +301,7 @@ _EXPORTED = {
     "designs": "DesignParams covering_threshold_p deficiency_count expected_deficient "
                "overfull_count packing_threshold_p",
     "errors": "BracketError BudgetExceededError",
-    "perms": "covering_set covers delete_and_flatten joint_cover_neighborhood joint_covers "
-             "packing_threshold_bounds",
+    "perms": "covering_set joint_covers packing_threshold_bounds",
     "rng": "bernoulli_ranks derive_stream throw_balls",
     "sidon": "basis_threshold_p count_equal_sum_tuples is_bh_g is_truncated_basis "
              "representation_counts sidon_threshold_k",

@@ -8,19 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_undercovered
+import oracles
+from oracles import (
+    count_undercovered,
+    covers,
+    delete_and_flatten,
+    joint_cover_neighborhood,
+    lex_rank,
+    lex_unrank,
+)
 from threshold_lab import perms
 from threshold_lab.errors import BudgetExceededError
 from threshold_lab.perms import (
     cover_trial,
     covering_set,
     covering_threshold_p,
-    covers,
-    delete_and_flatten,
-    joint_cover_neighborhood,
     joint_covers,
-    lex_rank,
-    lex_unrank,
     pack_trial,
     packing_threshold_bounds,
     pattern_rank_table,
@@ -103,6 +106,18 @@ def test_exhaustive_verifiers():
         assert nb_ok and joint_ok
         if n >= 2:
             assert joint_max == 4
+
+
+def test_table_verifiers_match_the_set_oracle():
+    # row for row against covering sets built and intersected one by one
+    assert verify_cover_counts(6) == oracles.verify_cover_counts(6)
+    assert verify_joint_bounds(6) == oracles.verify_joint_bounds(6)
+
+
+def test_table_verifiers_past_the_set_oracle():
+    # |covers| = n^2 + 1, and the neighborhoods (240 and 378) stay under n^3
+    assert verify_cover_counts(8)[6:] == [(7, True, 50, 50), (8, True, 65, 65)]
+    assert verify_joint_bounds(8)[5:] == [(7, True, 240, True, 4), (8, True, 378, True, 4)]
 
 
 def test_count_undercovered_edges():
@@ -225,3 +240,15 @@ def test_pattern_table_budget(monkeypatch):
     monkeypatch.setattr(perms, "_lex_perms", build_started)
     with pytest.raises(LookupError, match="10"):
         pattern_rank_table.__wrapped__(9)
+
+
+def test_joint_pair_budget():
+    # n = 9 (10! rows x 45 pairs, about 3.7 GiB of keys) is refused before the table is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="memory budget"):
+            perms._joint_pair_keys(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
