@@ -43,7 +43,7 @@ def walk_the_curve():
         params = DesignParams(14, 4, 2, lam)
         print(f"  lam={lam}:  {'r':>5} {'p':>8} {'E(X)':>8} {'P(X=0)':>8}")
         for r in (-6.0, -2.0, 0.0, 2.0, 6.0):
-            p = covering_threshold_p(params, r, clamp=True)
+            p = covering_threshold_p(params, r)
             mu = expected_deficient(params, p)
             xs = map_trials(partial(deficiency_trial, params=params, p=p),
                             TRIALS, SEED + 10 * lam + int(r))
@@ -72,7 +72,7 @@ def locate_transition():
     params = DesignParams(14, 4, 2, 1)
 
     def make_trial(p):
-        return partial(_cover_holds, params=params, p=p)
+        return partial(deficiency_trial, params=params, p=p)
 
     scan = threshold_bisect(make_trial, 0.02, 0.30, trials_per_eval=300,
                             tol=2e-3, seed=SEED, increasing=True)
@@ -81,10 +81,6 @@ def locate_transition():
     print(f"  curve value at r=0: {predicted:.4f} "
           f"(ratio {scan.p_half / predicted:.2f})")
     print(f"  packing threshold scale for contrast: {packing_threshold_p(params):.2e}")
-
-
-def _cover_holds(stream, params, p):
-    return deficiency_trial(stream, params, p)[1]
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ def covering_transition():
     for lam in (1, 2):
         print(f"  lam={lam}:  {'r':>5} {'p':>8} {'P(X=0)':>8} {'mean X':>8}")
         for r in (-4.0, -1.0, 0.0, 1.0, 4.0):
-            p = covering_threshold_p(n, lam, r, clamp=True)
+            p = covering_threshold_p(n, lam, r)
             xs = map_trials(partial(cover_trial, n=n, lam=lam, p=p),
                             TRIALS, SEED + 10 * lam + int(r))
             p0 = np.mean([x == 0 for x, _ in xs])

@@ -42,13 +42,9 @@ def bounded_multiplicity_transition():
     print(f"  {'k':>8} {'P(all sums distinct)':>22}")
     for mult in (0.2, 0.7, 1.5, 3.0, 5.0):
         k = mult * scale
-        s = run_trials(partial(_bhg_holds, n=n, h=2, g=1, p=k / n),
+        s = run_trials(partial(bh_g_trial, n=n, h=2, g=1, p=k / n),
                        TRIALS, SEED + int(10 * mult))
         print(f"  {k:>8.1f} {s.estimate:>22.3f}")
-
-
-def _bhg_holds(stream, n, h, g, p):
-    return bh_g_trial(stream, n, h, g, p)[1]
 
 
 def tuple_census_growth():
@@ -66,17 +62,13 @@ def truncated_basis_limit():
     n, alpha = 10_000, 0.5
     for g in (1, 2):
         p = basis_threshold_p(n, 2, g, alpha, 0.0)
-        s = run_trials(partial(_basis_holds, n=n, h=2, g=g, alpha=alpha, p=p),
+        s = run_trials(partial(truncated_basis_trial, n=n, h=2, g=g, alpha=alpha, p=p),
                        TRIALS, SEED + 100 + g)
         limit = math.exp(-2 * alpha * math.exp(0.0))
         print(f"  g={g}: p={p:.4f}, empirical P={s.estimate:.3f}, "
               f"limit value at offset 0 = {limit:.3f}")
     print("  Moving the additive offset A through the curve sweeps the")
     print("  probability between 0 and 1; at A=0 it sits near e^-1.")
-
-
-def _basis_holds(stream, n, h, g, alpha, p):
-    return truncated_basis_trial(stream, n, h, g, alpha, p)[1]
 
 
 if __name__ == "__main__":

@@ -67,17 +67,13 @@ def locate_transition():
     n = 12
 
     def make_trial(p):
-        return partial(_collision_free, n=n, p=p)
+        return partial(union_collision_trial, n=n, p=p)
 
     scan = threshold_bisect(make_trial, 1e-4, 1e-2, trials_per_eval=300,
                             tol=2.5e-4, seed=SEED, increasing=False)
     base = wuf_threshold_p(n)
     print(f"  p_half = {scan.p_half:.2e} after {len(scan.rows)} probes; "
           f"{scan.p_half / base:.2f}x the threshold scale")
-
-
-def _collision_free(stream, n, p):
-    return union_collision_trial(stream, n, p)[1]
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ __all__ = [
     "selected_row_counts",
     "deficiency_count",
     "overfull_count",
+    "clamp_probability",
     "binomial_tail",
     "binomial_tail_term_ratio",
     "poisson_tv_distance",
@@ -71,6 +72,14 @@ def overfull_count(profile: np.ndarray, lam: int) -> int:
     if lam < 1:
         raise ValueError("lam must be at least 1")
     return int(np.count_nonzero(profile >= lam + 1))
+
+
+def clamp_probability(p: float) -> float:
+    """p pinned to [0, 1], the far-from-threshold limit of a threshold curve
+    at an extreme offset; nan lies on neither side and is refused."""
+    if math.isnan(p):
+        raise ValueError("threshold expression is nan")
+    return min(1.0, max(0.0, p))
 
 
 def _log_binom_pmfs(n: int, p: float, t0: int, t1: int) -> list[float]:
@@ -195,7 +204,6 @@ class MonteCarloSummary:
     estimate: float
     ci_low: float
     ci_high: float
-    seed: int
 
 
 @dataclass
@@ -204,8 +212,6 @@ class ThresholdScan:
 
     rows: list[tuple[float, MonteCarloSummary]] = field(default_factory=list)
     p_half: float = math.nan
-    tol: float = math.nan
-    seed: int = 0
 
 
 def _run_chunk(args) -> list:
@@ -217,23 +223,27 @@ def _run_chunk(args) -> list:
 
 class _Pool:
     """A process pool of up to ``workers`` that opens on first use, with no
-    more processes than that first map has jobs (a pool shared by several
-    maps keeps that size); leaving it shuts down whatever was opened."""
+    more processes than that first run has jobs (a pool shared by several
+    runs keeps that size); leaving it shuts down whatever was opened."""
 
     def __init__(self, workers: int):
         self.workers = workers
         self._executor = None
 
-    def map(self, fn, jobs):
+    def run(self, trial_fn, seed: int, indices: range) -> list:
+        """Results of ``indices`` in order, run as contiguous index ranges."""
+        n, n_chunks = len(indices), min(len(indices), self.workers * 4)
+        jobs = [(trial_fn, seed, indices[c * n // n_chunks:(c + 1) * n // n_chunks])
+                for c in range(n_chunks)]
         if self._executor is None:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads it
             # fork, so workers inherit the parent's cached tables (3.14 defaults to
             # forkserver); a forking pool starts all its processes at the first submit
             self._executor = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(jobs)),
+                max_workers=min(self.workers, n_chunks),
                 mp_context=multiprocessing.get_context("fork"))
-        return self._executor.map(fn, jobs)
+        return [value for part in self._executor.map(_run_chunk, jobs) for value in part]
 
     def __enter__(self) -> _Pool:
         return self
@@ -267,45 +277,37 @@ def map_trials(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if workers <= 1:
-        return _run_chunk((trial_fn, seed, range(trials)))
     results = []
     stream = None
     for i in range(trials):
         # priced only once the trials since trial 0 have run for a tenth of
         # the pool's cost, so a slow warm-up trial does not open a pool
-        if i >= 2 and (measured := time.perf_counter() - since) > _POOL_START_S / 10:
+        if workers > 1 and i >= 2 and (
+                measured := time.perf_counter() - since) > _POOL_START_S / 10:
             rest = trials - i
             if rest * measured / (i - 1) * (1 - 1 / min(workers, rest)) > _POOL_START_S:
                 with _Pool(workers) if pool is None else nullcontext(pool) as executor:
-                    return results + _map_pooled(trial_fn, seed, range(i, trials), executor)
+                    return results + executor.run(trial_fn, seed, range(i, trials))
         results.append(trial_fn(stream := derive_stream(seed, i, stream)))
         if i == 0:
             since = time.perf_counter()
     return results
 
 
-def _map_pooled(trial_fn, seed: int, indices: range, pool: _Pool) -> list:
-    """Results of ``indices``, run as contiguous ranges on ``pool`` and yielded in order."""
-    n_chunks = min(len(indices), pool.workers * 4)
-    jobs = [(trial_fn, seed, indices[c * len(indices) // n_chunks:(c + 1) * len(indices) // n_chunks])
-            for c in range(n_chunks)]
-    return [value for part in pool.map(_run_chunk, jobs) for value in part]
-
-
 def run_trials(
-    trial_fn: Callable[[np.random.Generator], bool],
+    trial_fn: Callable[[np.random.Generator], object],
     trials: int,
     seed: int,
     workers: int = 1,
     *,
     pool: _Pool | None = None,
 ) -> MonteCarloSummary:
-    """Estimate a success probability with a Wilson 95% interval."""
+    """Estimate a success probability with a Wilson 95% interval; a trial
+    succeeds when it returns true, or an ``(X, holds)`` pair with ``holds`` true."""
     results = map_trials(trial_fn, trials, seed, workers, pool=pool)
-    successes = sum(1 for r in results if r)
+    successes = sum(1 for r in results if (r[1] if isinstance(r, tuple) else r))
     lo, hi = wilson_interval(successes, trials)
-    return MonteCarloSummary(trials, successes, successes / trials, lo, hi, seed)
+    return MonteCarloSummary(trials, successes, successes / trials, lo, hi)
 
 
 def _probe_seed(seed: int, probe_index: int) -> int:
@@ -316,7 +318,7 @@ def _probe_seed(seed: int, probe_index: int) -> int:
 
 
 def threshold_bisect(
-    make_trial: Callable[[float], Callable[[np.random.Generator], bool]],
+    make_trial: Callable[[float], Callable[[np.random.Generator], object]],
     p_lo: float,
     p_hi: float,
     *,
@@ -329,19 +331,19 @@ def threshold_bisect(
 ) -> ThresholdScan:
     """Locate the parameter where a monotone property crosses ``target``.
 
-    ``make_trial(param)`` yields the boolean trial function at one parameter
-    value; ``increasing`` declares whether the success probability rises with
-    the parameter.  Endpoints must straddle the target beyond their Wilson
-    intervals or a BracketError is raised.  Every probe gets a fresh sub-seed
-    derived from ``(seed, probe_index)``.  With ``workers > 1`` the probes
-    that open a pool (see ``map_trials``) share one, shut down however the
-    bisection ends.
+    ``make_trial(param)`` yields the trial function at one parameter value,
+    scored as in ``run_trials``; ``increasing`` declares whether the success
+    probability rises with the parameter.  Endpoints must straddle the
+    target beyond their Wilson intervals or a BracketError is raised.  Every
+    probe gets a fresh sub-seed derived from ``(seed, probe_index)``.  With
+    ``workers > 1`` the probes that open a pool (see ``map_trials``) share
+    one, shut down however the bisection ends.
     """
     if not p_lo < p_hi:
         raise ValueError("need p_lo < p_hi")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    scan = ThresholdScan(tol=tol, seed=seed)
+    scan = ThresholdScan()
 
     def evaluate(param: float) -> MonteCarloSummary:
         probe_seed = _probe_seed(seed, len(scan.rows))

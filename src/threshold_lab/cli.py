@@ -61,11 +61,6 @@ def _default_workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _prop_trial(stream, fn, **kw) -> bool:
-    """Adapter: run a (value, holds) trial and keep the boolean."""
-    return fn(stream, **kw)[1]
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_number_in(int, 0, 2**64 - 1), default=0,
                         help="master seed, a 64-bit unsigned integer (default 0)")
@@ -119,7 +114,7 @@ def _design(args):
         raise ValueError("give exactly one of --p or --r")
     if args.mode == "pack" and args.p is None:
         raise ValueError("pack mode needs an explicit --p")
-    p = designs.covering_threshold_p(dp, args.r, clamp=True) if args.p is None else args.p
+    p = designs.covering_threshold_p(dp, args.r) if args.p is None else args.p
     trial = designs.deficiency_trial if args.mode == "cover" else designs.overfull_trial
     params = {"n": args.n, "k": args.k, "t": args.t, "lambda": args.lam,
               "mode": args.mode, "p": p, "trials": args.trials}
@@ -160,8 +155,8 @@ def _sidon_scan(args):
     if not 0 <= args.lo < args.hi <= args.n:
         raise ValueError("need 0 <= --lo < --hi <= n")
     params = {"n": args.n, "h": args.h, "g": args.g}
-    return params, lambda k: partial(_prop_trial, fn=sidon.bh_g_trial, n=args.n, h=args.h,
-                                     g=args.g, p=k / args.n), False
+    return params, lambda k: partial(sidon.bh_g_trial, n=args.n, h=args.h, g=args.g,
+                                     p=k / args.n), False
 
 
 def _checks(max_n: int, max_n_cover: int):
@@ -178,7 +173,7 @@ def _checks(max_n: int, max_n_cover: int):
 
 def _perm_cover(args):
     from . import perms
-    p = perms.covering_threshold_p(args.n, args.lam, args.r, clamp=True)
+    p = perms.covering_threshold_p(args.n, args.lam, args.r)
     params = {"n": args.n, "lambda": args.lam, "r": args.r, "p": p, "trials": args.trials}
     return params, _COUNT_COLUMNS, partial(perms.cover_trial, n=args.n, lam=args.lam, p=p)
 
@@ -208,15 +203,14 @@ def _scan(args):
     if args.experiment == "unionfree":
         if not 1 <= args.n <= 24:
             raise ValueError("need 1 <= --n <= 24")
-        trial = unionfree.union_collision_trial
-        return params, lambda p: partial(_prop_trial, fn=trial, n=args.n, p=p), False
+        return params, lambda p: partial(unionfree.union_collision_trial, n=args.n, p=p), False
     if args.k is None or args.t is None:
         raise ValueError("design scans need --k and --t")
     dp = designs.DesignParams(args.n, args.k, args.t, args.lam)
     params.update({"k": args.k, "t": args.t, "lambda": args.lam})
     cover = args.experiment == "design-cover"
     trial = designs.deficiency_trial if cover else designs.overfull_trial
-    return params, lambda p: partial(_prop_trial, fn=trial, params=dp, p=p), cover
+    return params, lambda p: partial(trial, params=dp, p=p), cover
 
 
 class _Experiment(NamedTuple):

@@ -17,7 +17,8 @@ from math import comb
 
 import numpy as np
 
-from .analysis import binomial_tail, deficiency_count, overfull_count, selected_row_counts
+from .analysis import (binomial_tail, clamp_probability, deficiency_count, overfull_count,
+                       selected_row_counts)
 from .errors import BudgetExceededError, check_budget
 
 __all__ = [
@@ -104,26 +105,20 @@ def _coverage_incidence(n: int, k: int, t: int) -> np.ndarray:
     return out
 
 
-def covering_threshold_p(params: DesignParams, r: float, clamp: bool = False) -> float:
+def covering_threshold_p(params: DesignParams, r: float) -> float:
     """Selection probability at offset r on the lam-covering threshold curve.
 
     (ln C(n,t) + (lam-1) ln ln C(n,t) + r) / C(n-t,k-t); at lam = 1 the
     iterated-log term drops and this is the plain covering threshold.
-    Values outside [0, 1] are rejected unless ``clamp`` is set, in which
-    case they are pinned to the nearest endpoint (the far-from-threshold
-    limit for extreme r).
+    Values outside [0, 1] are pinned to the nearest endpoint (the
+    far-from-threshold limit for extreme r); a nan r raises ValueError.
     """
     n_t = params.n_tsets
     if n_t < 3:
         raise ValueError("C(n,t) must be at least 3 (ln ln must be positive)")
-    p = (
+    return clamp_probability((
         math.log(n_t) + (params.lam - 1) * math.log(math.log(n_t)) + r
-    ) / params.supersets_per_tset
-    if not 0.0 <= p <= 1.0:
-        if not clamp:
-            raise ValueError(f"threshold expression {p:.6g} falls outside [0, 1]")
-        p = min(1.0, max(0.0, p))
-    return p
+    ) / params.supersets_per_tset)
 
 
 def packing_threshold_p(params: DesignParams) -> float:

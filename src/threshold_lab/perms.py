@@ -17,7 +17,7 @@ from math import factorial
 
 import numpy as np
 
-from .analysis import deficiency_count, overfull_count, selected_row_counts
+from .analysis import clamp_probability, deficiency_count, overfull_count, selected_row_counts
 from .errors import check_budget
 
 __all__ = [
@@ -66,16 +66,16 @@ def joint_covers(
     return covering_set(pi) & covering_set(pi2)
 
 
-def covering_threshold_p(n: int, lam: int, r: float, clamp: bool = False) -> float:
+def covering_threshold_p(n: int, lam: int, r: float) -> float:
     """Selection probability at offset r on the lam-covering threshold curve.
 
-    (n ln n - n + (lam-1) ln n + (lam-1) ln ln n - ln (lam-1)! + (ln n)/2 + r) / n^2.
-    Out-of-range values are rejected unless ``clamp`` pins them to [0, 1].
+    (n ln n - n + (lam-1) ln n + (lam-1) ln ln n - ln (lam-1)! + (ln n)/2 + r) / n^2,
+    pinned to [0, 1]; a nan r raises ValueError.
     """
     if n < 3 or lam < 1:
         raise ValueError("need n >= 3 and lam >= 1")
     log_n = math.log(n)
-    p = (
+    return clamp_probability((
         n * log_n
         - n
         + (lam - 1) * log_n
@@ -83,12 +83,7 @@ def covering_threshold_p(n: int, lam: int, r: float, clamp: bool = False) -> flo
         - math.lgamma(lam)
         + 0.5 * log_n
         + r
-    ) / n**2
-    if not 0.0 <= p <= 1.0:
-        if not clamp:
-            raise ValueError(f"threshold expression {p:.6g} falls outside [0, 1]")
-        p = min(1.0, max(0.0, p))
-    return p
+    ) / n**2)
 
 
 def packing_threshold_bounds(n: int, lam: int) -> tuple[float, float]:

@@ -28,7 +28,8 @@ def derive_stream(master: int, trial_index: int,
     and reconstruction in another process yields the identical sequence.
     Integer draws from the returned generator use Lemire-style rejection,
     not modulo reduction, so uniform sampling is unbiased.  ``reuse``, a
-    generator from an earlier call, is re-keyed in place and returned.
+    generator from an earlier call, is re-keyed in place and returned; a
+    fresh one is keyed the same way.
     """
     master = int(master)
     trial_index = int(trial_index)
@@ -37,7 +38,7 @@ def derive_stream(master: int, trial_index: int,
     if not 0 <= trial_index <= _U64:
         raise ValueError("trial_index must be a 64-bit unsigned integer")
     if reuse is None:
-        return np.random.Generator(np.random.Philox(key=(master << 64) | trial_index))
+        reuse = np.random.Generator(np.random.Philox(0))
     reuse.bit_generator.state = {  # key words [index, master], counter 0, buffer empty
         "bit_generator": "Philox", "state": {"counter": (0,) * 4, "key": (trial_index, master)},
         "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}

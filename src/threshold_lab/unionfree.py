@@ -10,7 +10,6 @@ exhaustive oracle at small n.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -115,16 +114,11 @@ def union_obstacle_count(n: int) -> int:
 
 def union_obstacle_bruteforce(n: int) -> int:
     """Exhaustive census over P([n]): unordered pairs of member-pairs with
-    equal unions and four distinct sets.  Capped at n = 4."""
+    equal unions and four distinct sets, the collision count of the whole
+    power set.  Capped at n = 4."""
     if not 0 <= n <= _MAX_BRUTE_N:
         raise BudgetExceededError(f"exhaustive obstacle census capped at n = {_MAX_BRUTE_N}")
-    masks = range(1 << n)
-    pairs = list(combinations(masks, 2))
-    total = 0
-    for (a, b), (c, d) in combinations(pairs, 2):
-        if (a | b) == (c | d) and len({a, b, c, d}) == 4:
-            total += 1
-    return total
+    return count_union_collisions(np.arange(1 << n))
 
 
 def janson_delta_bound(n: int, p: float) -> float:

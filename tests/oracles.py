@@ -41,6 +41,17 @@ def count_union_collisions(family):
     return total
 
 
+def union_collisions_bruteforce(family):
+    """Every unordered pair of member-pairs, counted when the unions agree and
+    the four sets are distinct."""
+    pairs = list(combinations(family, 2))
+    total = 0
+    for (a, b), (c, d) in combinations(pairs, 2):
+        if (a | b) == (c | d) and len({a, b, c, d}) == 4:
+            total += 1
+    return total
+
+
 def is_weakly_union_free(family):
     """True when no four distinct members satisfy A u B = C u D; stops at the first."""
     masks = list(family)

@@ -85,7 +85,7 @@ def design_runs():
     for lam in (1, 2):
         for r in (-6.0, 0.0, 6.0):
             params = DesignParams(14, 4, 2, lam)
-            p = covering_threshold_p(params, r, clamp=True)
+            p = covering_threshold_p(params, r)
             fn = partial(deficiency_trial, params=params, p=p)
             xs = map_trials(fn, 2000, seed=62000 + 10 * lam + int(r))
             out[(lam, r)] = np.array([x for x, _ in xs], dtype=np.int64)
@@ -322,7 +322,7 @@ def test_c15_pattern_covering_transition():
     for lam in (1, 2):
         ups, downs = [], []
         for r, sink in ((5.0, ups), (-5.0, downs)):
-            p = perm_covering_threshold_p(n, lam, r, clamp=True)
+            p = perm_covering_threshold_p(n, lam, r)
             s = run_trials(
                 partial(lambda st, **kw: cover_trial(st, **kw)[1], n=n, lam=lam, p=p),
                 500,

@@ -199,6 +199,24 @@ def test_run_trials_fair_coin():
     assert s.ci_low <= s.estimate <= s.ci_high
 
 
+_DESIGN = designs.DesignParams(9, 4, 2, 1)
+
+
+def _cover_holds(stream):
+    """The bool adapter of a model trial, which returns (X, holds)."""
+    return designs.deficiency_trial(stream, _DESIGN, 0.25)[1]
+
+
+def test_pair_trial_scores_as_its_bool_adapter(monkeypatch, opened):
+    monkeypatch.setattr(analysis, "_POOL_START_S", 0.0)
+    pair = partial(designs.deficiency_trial, params=_DESIGN, p=0.25)
+    summaries = [run_trials(fn, 60, seed=17, workers=workers)
+                 for fn in (pair, _cover_holds) for workers in (1, 2)]
+    assert all(s == summaries[0] for s in summaries)
+    assert 0 < summaries[0].successes < 60
+    assert opened == [2, 2]  # both runs at 2 workers went to a pool
+
+
 def _index_draw(stream):
     return int(stream.integers(1 << 62))
 

@@ -262,6 +262,9 @@ def no_trials(monkeypatch):
         "perm verify-lemmas --max-n 9",
         "perm verify-lemmas --max-n 2 --max-n-cover 10",
         "sidon basis --n 1000 --h 2 --g 0 --alpha 0.5 --trials 3",
+        # nan lies on neither side of [0, 1], so the threshold curve refuses it
+        "design --n 14 --k 4 --t 2 --mode cover --r nan --trials 3",
+        "perm cover --n 5 --lambda 1 --r nan --trials 2",
         # float64 Gamma draws stop resolving the waiting time's spread
         "balls --boxes 3 --lambda 4294967297 --waiting --trials 1",
     ],

@@ -139,9 +139,13 @@ def test_covering_threshold_values():
 
 def test_covering_threshold_guards_and_clamp():
     params = DesignParams(14, 4, 2, 1)
-    with pytest.raises(ValueError):
-        covering_threshold_p(params, -6.0)  # expression goes negative
-    assert covering_threshold_p(params, -6.0, clamp=True) == 0.0
+    # (ln 91 + r) / 66 leaves [0, 1] below r = -ln 91 and above r = 66 - ln 91
+    assert covering_threshold_p(params, -6.0) == 0.0
+    assert covering_threshold_p(params, 62.0) == 1.0
+    assert covering_threshold_p(params, -math.inf) == 0.0
+    assert covering_threshold_p(params, math.inf) == 1.0
+    with pytest.raises(ValueError, match="nan"):
+        covering_threshold_p(params, math.nan)
 
 
 def test_packing_threshold_values():
@@ -205,10 +209,6 @@ def test_trials_match_mask_level_ops():
         assert y_fast == overfull_count(profile, params.lam)
 
 
-def _cover_holds(stream, params, p):
-    return deficiency_trial(stream, params, p)[1]
-
-
 def test_bisected_transition_near_threshold_curve():
     from functools import partial
 
@@ -216,7 +216,7 @@ def test_bisected_transition_near_threshold_curve():
 
     params = DesignParams(14, 4, 2, 1)
     scan = threshold_bisect(
-        lambda p: partial(_cover_holds, params=params, p=p),
+        lambda p: partial(deficiency_trial, params=params, p=p),
         0.02,
         0.30,
         trials_per_eval=300,

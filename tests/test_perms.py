@@ -206,9 +206,12 @@ def test_covering_threshold_matches_single_cover_form():
 
 
 def test_covering_threshold_clamp():
-    with pytest.raises(ValueError):
-        covering_threshold_p(8, 1, -100.0)
-    assert covering_threshold_p(8, 1, -100.0, clamp=True) == 0.0
+    assert covering_threshold_p(8, 1, -100.0) == 0.0
+    assert covering_threshold_p(8, 1, 100.0) == 1.0
+    assert covering_threshold_p(8, 1, -math.inf) == 0.0
+    assert covering_threshold_p(8, 1, math.inf) == 1.0
+    with pytest.raises(ValueError, match="nan"):
+        covering_threshold_p(8, 1, math.nan)
 
 
 def test_packing_bounds():

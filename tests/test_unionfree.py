@@ -1,5 +1,4 @@
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,15 +18,6 @@ from threshold_lab.unionfree import (
     union_obstacle_count,
     wuf_threshold_p,
 )
-
-
-def _collisions_bruteforce(masks):
-    pairs = list(combinations(masks, 2))
-    total = 0
-    for (a, b), (c, d) in combinations(pairs, 2):
-        if (a | b) == (c | d) and len({a, b, c, d}) == 4:
-            total += 1
-    return total
 
 
 def test_determining_pairs_tiny():
@@ -123,7 +113,7 @@ def test_collision_flag_agreement_random():
         size = int(rng.integers(0, 9))
         masks = rng.choice(32, size=size, replace=False).tolist()
         x = count_union_collisions(masks)
-        assert x == _collisions_bruteforce(masks)
+        assert x == oracles.union_collisions_bruteforce(masks)
         assert (x == 0) == is_weakly_union_free(masks)
 
 
@@ -159,6 +149,11 @@ def test_obstacle_bruteforce_values():
     assert union_obstacle_bruteforce(3) < union_obstacle_count(3)
     with pytest.raises(BudgetExceededError):
         union_obstacle_bruteforce(5)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_obstacle_census_matches_quadruple_loop(n):
+    assert union_obstacle_bruteforce(n) == oracles.union_collisions_bruteforce(range(1 << n))
 
 
 def test_delta_bound_shape():
