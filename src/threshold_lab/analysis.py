@@ -186,6 +186,8 @@ def wilson_interval(
     """95% Wilson score interval; well behaved for estimates at 0 or 1."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not 0 <= successes <= trials:
+        raise ValueError("need 0 <= successes <= trials")
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -341,8 +343,10 @@ def threshold_bisect(
     """
     if not p_lo < p_hi:
         raise ValueError("need p_lo < p_hi")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    if not 0 < target < 1:
+        raise ValueError("target must lie in (0, 1)")
     scan = ThresholdScan()
 
     def evaluate(param: float) -> MonteCarloSummary:

@@ -20,11 +20,12 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import gc
 import math
 import sys
 import tempfile
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from . import __version__
 from .analysis import map_trials, threshold_bisect
@@ -196,16 +197,17 @@ def _unionfree(args):
 
 def _scan(args):
     """Bisect over the selection probability p."""
-    from . import designs, unionfree
     if not args.lo < args.hi:
         raise ValueError("need 0 <= --lo < --hi <= 1")
     params = {"experiment": args.experiment, "n": args.n}
     if args.experiment == "unionfree":
+        from . import unionfree
         if not 1 <= args.n <= 24:
             raise ValueError("need 1 <= --n <= 24")
         return params, lambda p: partial(unionfree.union_collision_trial, n=args.n, p=p), False
     if args.k is None or args.t is None:
         raise ValueError("design scans need --k and --t")
+    from . import designs
     dp = designs.DesignParams(args.n, args.k, args.t, args.lam)
     params.update({"k": args.k, "t": args.t, "lambda": args.lam})
     cover = args.experiment == "design-cover"
@@ -388,5 +390,16 @@ def main(argv=None) -> int:
     return 0 if "ok" not in columns or all(row[columns.index("ok")] for row in rows) else 1
 
 
+def entry() -> NoReturn:
+    """``python -m threshold_lab`` and the ``threshold-lab`` script: run
+    ``main`` and exit with its code.  The heap is frozen first, so the
+    interpreter's collections at exit walk none of the objects the run
+    left (numpy's among them); atexit handlers and the stdio flush still run.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -65,18 +65,25 @@ def representation_counts(elements, h: int) -> np.ndarray:
         return np.zeros(1, dtype=np.int64)
     top = int(els[-1]) * h
     if h == 2:
-        # live at once: up to four arrays of top + 1 bins, and two blocks of
-        # pair sums (the one being formed and the one before it)
-        block = min(_PAIR_BLOCK, len(els)) * len(els)
-        check_budget(8 * (4 * (top + 1) + 2 * block), f"pair-sum tables over {top + 1} sums")
-        # ordered pair sums plus the diagonal, halved, give multiset counts
-        ordered = np.zeros(top + 1, dtype=np.int64)
-        for a in range(0, len(els), _PAIR_BLOCK):
+        # live at once (the tracemalloc peak): the elements, three arrays of
+        # top + 1 bins (two totals and the bincount being added) and the
+        # largest block of pair sums, a row block with itself or with the rest
+        k = len(els)
+        rows = min(_PAIR_BLOCK, k)
+        check_budget(8 * (k + 3 * (top + 1) + rows * max(rows, k - rows)),
+                     f"pair-sum tables over {top + 1} sums")
+        # each unordered pair once: a row block's ordered sums with itself plus
+        # the diagonal, halved, and its sums with the elements after it
+        within = np.bincount(2 * els, minlength=top + 1)
+        after = np.zeros(top + 1, dtype=np.int64)
+        for a in range(0, k, _PAIR_BLOCK):
             block = els[a : a + _PAIR_BLOCK]
-            sums = (block[:, None] + els[None, :]).ravel()
-            ordered += np.bincount(sums, minlength=top + 1)
-        diagonal = np.bincount(2 * els, minlength=top + 1)
-        return (ordered + diagonal) // 2
+            within += np.bincount((block[:, None] + block).ravel(), minlength=top + 1)
+            after += np.bincount((block[:, None] + els[a + _PAIR_BLOCK :]).ravel(),
+                                 minlength=top + 1)
+        within //= 2
+        within += after
+        return within
     check_budget(8 * (h + 1) * (top + 1), f"representation tables over {top + 1} sums")
     # complete-knapsack recurrence over elements; exact integer counts
     table = np.zeros((h + 1, top + 1), dtype=np.int64)

@@ -191,6 +191,18 @@ def perm_pack_trial(stream, n, lam, p):
     return x, x == 0
 
 
+def pair_representation_counts(elements):
+    """``sidon.representation_counts(elements, 2)`` from every ordered pair sum,
+    formed in row blocks: ordered counts plus the diagonal, halved."""
+    els = np.sort(np.asarray(elements, dtype=np.int64))
+    top = 2 * int(els[-1])
+    ordered = np.zeros(top + 1, dtype=np.int64)
+    for a in range(0, len(els), sidon._PAIR_BLOCK):
+        block = els[a : a + sidon._PAIR_BLOCK]
+        ordered += np.bincount((block[:, None] + els[None, :]).ravel(), minlength=top + 1)
+    return (ordered + np.bincount(2 * els, minlength=top + 1)) // 2
+
+
 def bh_g_trial(stream, n, h, g, p):
     elements = dense_bernoulli_ranks(n, p, stream) + 1
     top = int(sidon.representation_counts(elements, h).max()) if len(elements) else 0

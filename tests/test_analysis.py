@@ -174,6 +174,24 @@ def test_wilson_bounds_order():
     assert lo < 0.5 < hi
 
 
+@pytest.mark.parametrize("successes", [-1, 5])
+def test_wilson_rejects_successes_outside_trials(successes):
+    with pytest.raises(ValueError, match="successes"):
+        wilson_interval(successes, 3)
+
+
+def _no_probe(param):
+    raise AssertionError("a probe ran")
+
+
+@pytest.mark.parametrize("bad", [{"tol": math.nan}, {"target": math.nan}, {"target": 0.0},
+                                 {"target": 1.0}, {"target": 1.5}], ids=str)
+def test_bisect_refuses_nan_tol_and_target_off_the_open_unit_interval(bad):
+    kwargs = {"trials_per_eval": 20, "tol": 1e-2, "seed": 0, "increasing": False, **bad}
+    with pytest.raises(ValueError):
+        threshold_bisect(_no_probe, 0.0, 1.0, **kwargs)
+
+
 def _always_true(stream):
     return True
 

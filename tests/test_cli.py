@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -336,32 +338,52 @@ for module, names in {_EXPORTED!r}.items():
 """)
 
 
-# each entry point run in a fresh interpreter, followed by a report line
+# the console script's target, "module:function", as pyproject.toml declares it
+_SCRIPT_MODULE, _SCRIPT_FUNCTION = next(
+    line.split('"')[1] for line in (Path(__file__).resolve().parents[1] / "pyproject.toml")
+    .read_text().splitlines() if line.startswith("threshold-lab = ")).split(":")
+# each entry point as its launcher runs it, in a fresh interpreter
 _ENTRY_POINTS = {
-    "python -m": "import runpy\n"
-                 "try:\n"
-                 "    runpy.run_module('threshold_lab', run_name='__main__', alter_sys=True)\n"
-                 "except SystemExit as done:\n"
-                 "    assert done.code == 0",
-    "console script": "from threshold_lab.cli import main\nassert main(sys.argv[1:]) == 0",
+    "python -m": "runpy.run_module('threshold_lab', run_name='__main__', alter_sys=True)",
+    "console script":
+        f"sys.exit(importlib.import_module({_SCRIPT_MODULE!r}).{_SCRIPT_FUNCTION}())",
 }
 
 
-def _run_entry(entry: str, report: str, tmp_path, env=None) -> list[str]:
-    """Words of ``report``'s output after a ``_BALLS`` run through ``entry``."""
-    code = f"import os, sys\n{_ENTRY_POINTS[entry]}\nprint({report})"
-    argv = [*_BALLS.split(), "--out", str(tmp_path / "out.csv")]
+def _run_entry(entry: str, report: str, tmp_path, env=None, argv=_BALLS) -> list[str]:
+    """Words of ``report``'s output after an ``argv`` run through ``entry``."""
+    code = (f"import gc, importlib, os, runpy, sys\ntry:\n    {_ENTRY_POINTS[entry]}\n"
+            f"except SystemExit as done:\n    assert done.code == 0\nprint({report})")
+    argv = [*argv.split(), "--out", str(tmp_path / "out.csv")]
     return _python("-c", code, *argv, env=env).stdout.split()
 
 
-def test_a_run_imports_only_what_its_command_uses(tmp_path):
+@pytest.mark.parametrize("argv, used", [
+    (_BALLS, "balls"),
+    ("scan --experiment unionfree --n 8 --lo 0.002 --hi 0.2 --tol 0.05 --trials-per-eval 60"
+     " --seed 2 --workers 1", "unionfree"),
+], ids=["balls", "scan-unionfree"])
+def test_a_run_imports_only_what_its_command_uses(tmp_path, argv, used):
     # read from sys.modules: -X importtime does not list a submodule that
     # ``from . import name`` loads
-    loaded = set(_run_entry("python -m", "*sys.modules", tmp_path))
-    assert {"numpy", "threshold_lab.balls"} <= loaded
+    loaded = set(_run_entry("python -m", "*sys.modules", tmp_path, argv=argv))
+    assert {"numpy", f"threshold_lab.{used}"} <= loaded
     unused = {"concurrent.futures", "json"} | {
-        f"threshold_lab.{m}" for m in ("designs", "perms", "sidon", "unionfree")}
+        f"threshold_lab.{m}" for m in ("balls", "designs", "perms", "sidon", "unionfree")
+        if m != used}
     assert not loaded & unused
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_entry_points_freeze_the_heap_before_exit(tmp_path, entry):
+    # so the interpreter's collections at exit skip what the run left
+    assert _run_entry(entry, "gc.get_freeze_count() > 0", tmp_path) == ["True"]
+
+
+def test_an_in_process_run_leaves_the_heap_unfrozen(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert _run(_BALLS.split() + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 @pytest.mark.parametrize("caller", [None, "3"], ids=["unset", "caller-set"])
@@ -399,6 +421,9 @@ _GOLDEN = [
      "32624399e91167a2872eab8ecd860294307e541038aad3cda49310b94e42950d"),
     ("sidon basis --n 200 --h 2 --g 2 --alpha 0.5 --A 0 --trials 10 --seed 3",
      "39b1342c80c9c10c229c854a0a1893d86a7ee009e3491aa01804bf6da4c012f3"),
+    # about 600 elements a trial, so the pair sums cross two row blocks
+    ("sidon basis --n 10000 --h 2 --g 2 --alpha 0.5 --A 0 --trials 3 --seed 14",
+     "7dac1675ba2c7629332deffab5d2d8297d1f46199dcb4859c6e28dfba886eecc"),
     ("sidon enum-bhg --n 20 --h 2 --g 1 --l 4 --format json",
      "7766d6ebd1d903f1df8b71368aca4fac382a189a7058526191e7814882a68e07"),
     ("sidon scan --n 2000 --h 2 --g 1 --lo 2 --hi 60 --tol 2 --trials-per-eval 60 --seed 4",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from threshold_lab import sidon
 from threshold_lab.errors import BudgetExceededError
-from threshold_lab.rng import derive_stream
+from threshold_lab.rng import bernoulli_ranks, derive_stream
 from threshold_lab.sidon import (
     _as_element_array,
     _max_multiplicity,
@@ -71,6 +74,50 @@ def test_counts_match_bruteforce_and_total(elements, h):
     brute = _counts_bruteforce(elements, h)
     assert np.array_equal(counts, brute)
     assert counts.sum() == comb(len(elements) + h - 1, h)
+
+
+@pytest.mark.parametrize("k", [1, 255, 256, 257, 512, 513, 601])
+def test_pair_counts_match_ordered_pair_oracle(k):
+    # sizes on each side of the row-block edges, each set holding 0
+    rng = np.random.default_rng(k)
+    els = np.r_[0, rng.choice(np.arange(1, 4 * k), k - 1, replace=False)]
+    assert np.array_equal(representation_counts(els, 2), oracles.pair_representation_counts(els))
+
+
+def test_max_multiplicity_table_path_matches_pair_oracle():
+    # about 1200 elements of [3000]: their C(k + 1, 2) pairs outnumber the sums
+    els = bernoulli_ranks(3000, 0.4, derive_stream(7, 0)) + 1
+    assert comb(len(els) + 1, 2) > 2 * int(els[-1]) + 1
+    assert _max_multiplicity(els, 2) == int(oracles.pair_representation_counts(els).max())
+
+
+@pytest.mark.parametrize("k, top", [(1, 0), (257, 257), (601, 10**4), (3000, 3000), (10, 10**6)])
+def test_pair_count_budget_is_its_peak(monkeypatch, k, top):
+    # the bytes checked are the tracemalloc peak, up to numpy's fixed ufunc
+    # iteration buffers (two of getbufsize() int64) and a few object headers
+    checked = []
+    monkeypatch.setattr(sidon, "check_budget", lambda nbytes, what: checked.append(nbytes))
+    els = np.unique(np.linspace(0, top, k).astype(np.int64))
+    assert len(els) == k
+    tracemalloc.start()
+    try:
+        representation_counts(els, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked[0] <= peak <= checked[0] + 16 * np.getbufsize() + 4096
+
+
+def test_pair_count_budget_refuses_before_allocating():
+    # 3 * 2*10^9 bins of int64 are refused before any of them is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="memory budget"):
+            representation_counts([0, 10**9], 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_bounded_multiplicity_checks():
