@@ -51,13 +51,22 @@ _Z95 = 1.959963984540054
 # first map and shutdown), measured on a 2-vCPU VM, see BENCH_11.json
 _POOL_START_S = 0.08
 
+# table entries that one gather and bincount of selected rows takes at a time
+_COUNT_BLOCK = 1 << 16
+
 
 def selected_row_counts(
     table: np.ndarray, n_bins: int, p: float, stream: np.random.Generator
 ) -> np.ndarray:
     """Occurrences of each value in [n_bins] over the rows of ``table`` that
-    ``bernoulli_ranks`` keeps with probability p: one bincount of the selection."""
-    return np.bincount(table[bernoulli_ranks(len(table), p, stream)].ravel(), minlength=n_bins)
+    ``bernoulli_ranks`` keeps with probability p, gathered and counted
+    ``_COUNT_BLOCK`` entries at a time, as bincount copies its input to intp."""
+    ranks = bernoulli_ranks(len(table), p, stream)
+    step = max(1, _COUNT_BLOCK // table.shape[1])
+    counts = np.bincount(table[ranks[:step]].ravel(), minlength=n_bins)
+    for a in range(step, len(ranks), step):
+        counts += np.bincount(table[ranks[a : a + step]].ravel(), minlength=n_bins)
+    return counts
 
 
 def deficiency_count(profile: np.ndarray, lam: int) -> int:

@@ -90,10 +90,13 @@ def _coverage_incidence(n: int, k: int, t: int) -> np.ndarray:
 
     Column j takes the members at the j-th t-combination of the k positions;
     the colex rank of e_0 < ... < e_{t-1} is sum_i C(e_i, i + 1), one gather
-    per position from a table of binomials.
+    per position from a table of int64 binomials (C(e, i + 1) of an e no
+    k-set reaches may exceed C(n, t)).  The int64 sums are returned in the
+    smallest unsigned dtype that holds C(n, t).
     """
     u = comb(n, k)
-    # live at once: the table, one gathered temporary of its size, two u x k arrays
+    # live at once (the tracemalloc peak): the table, one gathered temporary of
+    # its size, two u x k arrays; the narrowed copy is made once the temporaries are freed
     check_budget(16 * u * (comb(k, t) + k), f"incidence tables of C({n},{k}) x C({k},{t}) ranks")
     ksets = np.fromiter(
         chain.from_iterable(combinations(range(n), k)), dtype=np.int64, count=u * k
@@ -102,7 +105,7 @@ def _coverage_incidence(n: int, k: int, t: int) -> np.ndarray:
     for i, positions in enumerate(zip(*combinations(range(k), t))):
         binom = np.array([comb(e, i + 1) for e in range(n)], dtype=np.int64)
         out += binom[ksets][:, positions]
-    return out
+    return out.astype(np.min_scalar_type(comb(n, t)))
 
 
 def covering_threshold_p(params: DesignParams, r: float) -> float:

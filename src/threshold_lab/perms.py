@@ -98,51 +98,63 @@ def packing_threshold_bounds(n: int, lam: int) -> tuple[float, float]:
     return p_low, p_high
 
 
-def _lex_perms(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The permutations of {0, ..., m-1} in lex order and their Lehmer codes
-    c_j = #{k > j : rho_k < rho_j}, as int8 arrays with one row per position
-    and one column per permutation.  Block f of either is f above the block
-    for m-1, whose permutations have their values >= f lifted by one."""
-    perms = codes = np.zeros((0, 1), dtype=np.int8)
-    for k in range(1, m + 1):
-        first = np.repeat(np.arange(k, dtype=np.int8), perms.shape[1])[None, :]
-        lifted = np.tile(perms, k)
-        perms = np.vstack([first, lifted + (lifted >= first)])
-        codes = np.vstack([first, np.tile(codes, k)])
-    return perms, codes
-
-
 @lru_cache(maxsize=2)
 def pattern_rank_table(n: int) -> np.ndarray:
-    """For every permutation of [n+1] (by lex rank), the lex ranks of its
-    covered patterns of [n], as int32.
+    """For every permutation of [n+1] (by lex rank), the lex ranks of the
+    patterns of [n] left by deleting each entry in turn, in the smallest
+    unsigned dtype that holds n!: uint8 through n = 5, uint16 through n = 8
+    and uint32 at n = 9.
 
-    Row padding: duplicate patterns within a row are replaced by the
+    Row padding: a deletion equal to the one left of it is replaced by the
     sentinel n!, so a bincount over table rows with n! + 1 bins counts each
-    covered pattern once per covering permutation.
+    covered pattern once per covering permutation.  Equal deletions of a row
+    are always adjacent runs, so this keeps exactly one of each.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    # the build peaks near 9 bytes a cell (tracemalloc: 8.6 at n = 7, 8.35 at n = 8)
-    rows = factorial(n + 1)
-    check_budget(9 * rows * (n + 1), f"pattern tables of {rows} x {n + 1} ranks")
-    rho, codes = _lex_perms(n + 1)
-    weights = np.array([factorial(n - 1 - j) for j in range(n)], dtype=np.int32)
-    table = np.empty(codes.T.shape, dtype=np.int32)
-    for i in range(n + 1):
-        # deleting entry i keeps the parent's Lehmer digits, less one left of
-        # i where rho_i < rho_j, and moves those right of i one place left
-        rank = np.zeros(len(table), dtype=np.int32)
-        for j in range(i):
-            rank += (codes[j] - (rho[i] < rho[j])) * weights[j]
-        for j in range(i + 1, n + 1):
-            rank += codes[j] * weights[j - 1]
-        table[:, i] = rank
-    table.sort(axis=1)
-    dup = np.zeros_like(table, dtype=bool)
-    dup[:, 1:] = table[:, 1:] == table[:, :-1]
-    table[dup] = factorial(n)
+    rows, dtype = factorial(n + 1), np.min_scalar_type(factorial(n))
+    # tracemalloc peaks at the table plus under a byte a cell: 2.6 B/cell at
+    # n = 8 in uint16, 4.8 at n = 9 in uint32
+    check_budget((dtype.itemsize + 1) * rows * (n + 1), f"pattern tables of {rows} x {n + 1} ranks")
+    # the lex permutations of {0, ..., m-1} as uint8 rows, and their deletion
+    # ranks, grown from m = 1 to n
+    values = np.zeros((1, 1), dtype=np.uint8)
+    table = np.zeros((1, 1), dtype=np.uint8)
+    for m in range(1, n + 1):
+        table = _grow_deletion_ranks(values, table)
+        if m < n:
+            # block f of S_{m+1}: f, then S_m with its values >= f lifted
+            lifted = np.empty((m + 1, len(values), m + 1), dtype=np.uint8)
+            for f, block in enumerate(lifted):
+                block[:, 0] = f
+                np.add(values, values >= f, out=block[:, 1:])
+            values = lifted.reshape(-1, m + 1)
+    # each deletion against the one left of it, a block of rows at a time so
+    # that the comparison's temporary stays small
+    for block in table.reshape(n + 1, -1, n + 1):
+        block[:, 1:][block[:, 1:] == block[:, :-1]] = factorial(n)
     return table
+
+
+def _grow_deletion_ranks(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The deletion ranks of S_{m+1} from the lex permutations of S_m (one row
+    each) and their own deletion ranks.
+
+    S_{m+1} in lex order is m + 1 blocks, block f being f followed by S_m with
+    its values >= f lifted.  Deleting entry 0 of such a row leaves the S_m row
+    sigma itself; deleting entry i >= 1 leaves first entry f - [sigma_{i-1} < f]
+    followed by sigma's deletion i - 1, whose rank is that entry times (m-1)!
+    plus sigma's deletion rank i - 1.
+    """
+    size, m = values.shape
+    unit, dtype = size // m, np.min_scalar_type(size)
+    own = np.arange(size, dtype=dtype)
+    grown = np.empty((m + 1, size, m + 1), dtype=dtype)
+    for f, block in enumerate(grown):
+        block[:, 0] = own
+        np.add(ranks, f * unit, out=block[:, 1:], dtype=dtype)
+        block[:, 1:] -= (values < f) * dtype.type(unit)
+    return grown.reshape(-1, m + 1)
 
 
 def _coverage_counts(
@@ -194,12 +206,12 @@ def _joint_pair_keys(n: int) -> np.ndarray:
     # tracemalloc peaks near 24 bytes a pair, here and in the caller's unique
     check_budget(24 * rows * len(left), f"pattern pairs of {rows} x {len(left)}")
     table, sentinel = pattern_rank_table(n), factorial(n)
-    # a row's real entries increase left to right, so each pair has a < b; a
-    # sentinel may sit left of a real entry, so the mask tests both sides
-    keys = table[:, left].astype(np.int64)
-    real = (keys != sentinel) & (table[:, right] != sentinel)
+    # a sentinel may sit on either side of a real entry, so the mask tests both
+    a, b = table[:, left], table[:, right]
+    real = (a != sentinel) & (b != sentinel)
+    keys = np.minimum(a, b).astype(np.int64)
     keys *= sentinel
-    keys += table[:, right]
+    keys += np.maximum(a, b)
     return keys[real]
 
 

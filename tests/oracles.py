@@ -138,6 +138,52 @@ def lex_unrank(rank, m):
     return tuple(out)
 
 
+def lex_perms(m):
+    """The permutations of {0, ..., m-1} in lex order and their Lehmer codes
+    c_j = #{k > j : rho_k < rho_j}, as int8 arrays with one row per position
+    and one column per permutation.  Block f of either is f above the block
+    for m-1, whose permutations have their values >= f lifted by one."""
+    perms_, codes = np.zeros((0, 1), dtype=np.int8), np.zeros((0, 1), dtype=np.int8)
+    for k in range(1, m + 1):
+        first = np.repeat(np.arange(k, dtype=np.int8), perms_.shape[1])[None, :]
+        lifted = np.tile(perms_, k)
+        perms_ = np.vstack([first, lifted + (lifted >= first)])
+        codes = np.vstack([first, np.tile(codes, k)])
+    return perms_, codes
+
+
+def lehmer_pattern_rank_table(n):
+    """``perms.pattern_rank_table`` from each row's Lehmer code, one int32
+    column per deletion, each row sorted and its repeats replaced by n!."""
+    rho, codes = lex_perms(n + 1)
+    weights = np.array([factorial(n - 1 - j) for j in range(n)], dtype=np.int32)
+    table = np.empty(codes.T.shape, dtype=np.int32)
+    for i in range(n + 1):
+        # deleting entry i keeps the parent's Lehmer digits, less one left of
+        # i where rho_i < rho_j, and moves those right of i one place left
+        rank = np.zeros(len(table), dtype=np.int32)
+        for j in range(i):
+            rank += (codes[j] - (rho[i] < rho[j])) * weights[j]
+        for j in range(i + 1, n + 1):
+            rank += codes[j] * weights[j - 1]
+        table[:, i] = rank
+    table.sort(axis=1)
+    dup = np.zeros_like(table, dtype=bool)
+    dup[:, 1:] = table[:, 1:] == table[:, :-1]
+    table[dup] = factorial(n)
+    return table
+
+
+def joint_pair_keys(n):
+    """a * n! + b for every pair of patterns a < b that one row of the
+    Lehmer-built table covers together, one key per row and pair."""
+    table = lehmer_pattern_rank_table(n).astype(np.int64)
+    left, right = np.triu_indices(n + 1, 1)
+    a, b = table[:, left], table[:, right]
+    real = (a != factorial(n)) & (b != factorial(n))
+    return (a * factorial(n) + b)[real]
+
+
 def verify_cover_counts(max_n):
     """``perms.verify_cover_counts`` from the size of every pattern's covering set."""
     rows = []

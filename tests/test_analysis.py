@@ -18,11 +18,12 @@ from threshold_lab.analysis import (
     map_trials,
     poisson_tv_distance,
     run_trials,
+    selected_row_counts,
     threshold_bisect,
     wilson_interval,
 )
 from threshold_lab.errors import BracketError
-from threshold_lab.rng import derive_stream
+from threshold_lab.rng import bernoulli_ranks, derive_stream
 
 
 def test_euler_gamma():
@@ -276,6 +277,18 @@ def test_cheap_trials_open_no_pool(opened):
     assert threshold_bisect(*args, workers=2, **kwargs).rows == threshold_bisect(
         *args, workers=1, **kwargs).rows
     assert opened == []
+
+
+@pytest.mark.parametrize("block", [1, 5, 6, 7, 1 << 16])
+def test_selected_row_counts_in_blocks_match_one_bincount(monkeypatch, block):
+    # blocks of under one row, of whole rows, and straddling a row boundary
+    monkeypatch.setattr(analysis, "_COUNT_BLOCK", block)
+    table = derive_stream(17, 0).integers(0, 40, size=(500, 3), dtype=np.uint16)
+    for p in (0.0, 0.3, 0.9):
+        counts = selected_row_counts(table, 41, p, derive_stream(17, 1))
+        ranks = bernoulli_ranks(len(table), p, derive_stream(17, 1))
+        expect = np.bincount(table[ranks].ravel(), minlength=41)
+        assert counts.dtype == expect.dtype and np.array_equal(counts, expect)
 
 
 def _incidence_builds_before(stream):

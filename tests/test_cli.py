@@ -436,6 +436,9 @@ _GOLDEN = [
      "36a8e22555e8ebb5a22c498b5aeac883e416345a1b2068bf3ce2501d7a812ac8"),
     ("perm pack --n 5 --lambda 1 --p 0.02 --trials 10 --seed 9 --format json",
      "fea1e70e1088061ae0fea7f7c4c7122db64ff8bd8c6bb197d7fe3ec2216760ae"),
+    # about 71k selected rows of 9 ranks a trial, so the count crosses ten blocks
+    ("perm cover --n 8 --lambda 2 --r 0 --trials 2 --seed 15",
+     "f3ee92bf4bcc3ed098213773a5dbb0b2f27d18cc031f0bf9a82af90b4f3c88f4"),
     ("unionfree --n 8 --p 0.01 --trials 6 --seed 3",
      "abb99c9dc6d54cbc76453929c648263b5f09394e7d688f0e341fa1f07abc5ff0"),
     ("unionfree --n 4 --p 0.3 --trials 5 --exact-obstacles --seed 2 --format json",

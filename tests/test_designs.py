@@ -45,7 +45,7 @@ def test_colex_rank_numbers_subsets():
 
 def _assert_incidence_matches_oracle(n, k, t):
     table = _coverage_incidence.__wrapped__(n, k, t)
-    assert table.dtype == np.int64
+    assert table.dtype == np.min_scalar_type(comb(n, t))
     assert np.array_equal(table, oracles.coverage_incidence(n, k, t)), (n, k, t)
 
 
@@ -56,7 +56,9 @@ def test_incidence_matches_row_by_row_colex_ranks_small():
                 _assert_incidence_matches_oracle(n, k, t)
 
 
-@pytest.mark.parametrize("n,k,t", [(20, 5, 2), (22, 6, 3)])
+# (20, 19, 18): the i = 8 gather table holds C(19, 9) = 92378, which no
+# 18-subset of [20] reaches but the uint8 of C(20, 18) = 190 could not hold
+@pytest.mark.parametrize("n,k,t", [(14, 4, 2), (20, 5, 2), (22, 6, 3), (20, 19, 18)])
 def test_incidence_matches_row_by_row_colex_ranks(n, k, t):
     _assert_incidence_matches_oracle(n, k, t)
 

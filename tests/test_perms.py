@@ -164,11 +164,37 @@ def test_pattern_table_fanout():
 def test_pattern_table_matches_deletions(n):
     # every row against its deletions, flattened and ranked one by one
     table = pattern_rank_table(n)
-    assert table.dtype == np.int32
+    assert table.dtype == (np.uint8 if n <= 5 else np.uint16)
     for rank, row in enumerate(table.tolist()):
         rho = lex_unrank(rank, n + 1)
         expect = sorted({lex_rank(delete_and_flatten(rho, i)) for i in range(1, n + 2)})
         assert sorted(row) == expect + [factorial(n)] * (n + 1 - len(expect))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pattern_table_rows_match_the_lehmer_build(n):
+    # as multisets per row, sentinels included: the grown table keeps each
+    # deletion in its column, the Lehmer build sorts its rows
+    table = pattern_rank_table(n)
+    expect = oracles.lehmer_pattern_rank_table(n)
+    assert np.array_equal(np.sort(table, axis=1), np.sort(expect, axis=1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_equal_deletions_are_adjacent_runs(n):
+    # the sentinel pass compares neighbouring columns only: deleting rho_i and
+    # rho_j (i < j) leaves one pattern only if every adjacent pair between does
+    for rho in permutations(range(1, n + 2)):
+        dels = [delete_and_flatten(rho, i) for i in range(1, n + 2)]
+        same = [dels[i] == dels[i + 1] for i in range(n)]
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                assert (dels[i] == dels[j]) == all(same[i:j]), (rho, i, j)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_joint_pair_keys_match_the_lehmer_build(n):
+    assert np.array_equal(np.sort(perms._joint_pair_keys(n)), np.sort(oracles.joint_pair_keys(n)))
 
 
 def test_trials_match_count_undercovered():
@@ -226,7 +252,7 @@ def test_packing_bounds():
 
 
 def test_pattern_table_budget(monkeypatch):
-    # n = 10 (11! x 11 ranks, about 3.7 GiB to build) is refused before any allocation
+    # n = 10 (11! x 11 ranks, about 2.0 GiB to build) is refused before any allocation
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="memory budget"):
@@ -237,12 +263,41 @@ def test_pattern_table_budget(monkeypatch):
     assert peak < 1 << 20
     # n = 9, the largest `perm --n`, passes the budget and starts building
 
-    def build_started(m):
-        raise LookupError(m)
+    def build_started(values, ranks):
+        raise LookupError(f"build started from S_{len(values)}")
 
-    monkeypatch.setattr(perms, "_lex_perms", build_started)
-    with pytest.raises(LookupError, match="10"):
+    monkeypatch.setattr(perms, "_grow_deletion_ranks", build_started)
+    with pytest.raises(LookupError, match="build started from S_1"):
         pattern_rank_table.__wrapped__(9)
+
+
+def test_pattern_table_build_stays_within_its_budget(monkeypatch):
+    # the bytes the n = 8 build asks the budget for bound its traced peak
+    asked = []
+    monkeypatch.setattr(perms, "check_budget", lambda nbytes, what: asked.append(nbytes))
+    tracemalloc.start()
+    try:
+        table = pattern_rank_table.__wrapped__(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.uint16
+    assert table.nbytes < peak <= asked[0]
+
+
+def test_cover_trial_memory_on_a_cached_table():
+    # one n = 8 trial at the lam = 2 threshold selects about 71k rows (637k
+    # ranks); counting them in blocks keeps the trial's intp copies small
+    n, lam = 8, 2
+    p = covering_threshold_p(n, lam, 0.0)
+    pattern_rank_table(n)
+    tracemalloc.start()
+    try:
+        cover_trial(derive_stream(16, 0), n, lam, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_joint_pair_budget():
