@@ -15,17 +15,17 @@ __version__ = "0.1.0"
 # (PEP 562), so importing the package, and so starting the CLI, loads no numpy
 _PUBLIC = {
     "analysis": "EULER_GAMMA MonteCarloSummary ThresholdScan binomial_tail "
-                "binomial_tail_term_ratio gumbel_sup_distance loglog_slope map_trials "
-                "poisson_tv_distance run_trials threshold_bisect wilson_interval",
+                "gumbel_sup_distance loglog_slope map_trials poisson_tv_distance run_trials "
+                "threshold_bisect wilson_interval",
     "balls": "OccupancyState count_overfull normalize_waiting_time packing_threshold_n "
              "waiting_time waiting_time_mean",
     "designs": "DesignParams covering_threshold_p deficiency_count expected_deficient "
                "overfull_count packing_threshold_p",
     "errors": "BracketError BudgetExceededError",
-    "perms": "covering_set joint_covers packing_threshold_bounds",
+    "perms": "packing_threshold_bounds",
     "rng": "bernoulli_ranks derive_stream throw_balls",
-    "sidon": "basis_threshold_p count_equal_sum_tuples is_bh_g is_truncated_basis "
-             "representation_counts sidon_threshold_k",
+    "sidon": "basis_threshold_p count_equal_sum_tuples representation_counts "
+             "sidon_threshold_k",
     "unionfree": "count_union_collisions determining_pairs janson_delta_bound "
                  "union_obstacle_bruteforce union_obstacle_count wuf_threshold_p",
 }

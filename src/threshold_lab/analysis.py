@@ -30,7 +30,6 @@ __all__ = [
     "overfull_count",
     "clamp_probability",
     "binomial_tail",
-    "binomial_tail_term_ratio",
     "poisson_tv_distance",
     "gumbel_sup_distance",
     "wilson_interval",
@@ -41,9 +40,6 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.57721566490153286061
-
-# last-term tail approximations are only meaningful for t1 = O(1)
-_LAST_TERM_T1_MAX = 20
 
 _Z95 = 1.959963984540054
 
@@ -91,9 +87,11 @@ def clamp_probability(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _log_binom_pmfs(n: int, p: float, t0: int, t1: int) -> list[float]:
-    """log of C(n,j) p^j (1-p)^(n-j) for j = t0..t1; -inf where the mass is exactly zero.
+def binomial_tail(n: int, p: float, t0: int, t1: int) -> float:
+    """Exact partial sum of the Binomial(n, p) pmf over j in [t0, t1].
 
+    Terms are formed in log space and accumulated with compensated summation,
+    so the result stays accurate even when individual factors underflow.
     C(n, j) is carried from term to term as an exact integer, so its log does
     not lose eps * n ln n to the cancellation of lgamma differences.
     """
@@ -102,47 +100,14 @@ def _log_binom_pmfs(n: int, p: float, t0: int, t1: int) -> list[float]:
     if not 0 <= t0 <= t1 <= n:
         raise ValueError("need 0 <= t0 <= t1 <= n")
     if p in (0.0, 1.0):
-        full = 0 if p == 0.0 else n
-        return [0.0 if j == full else -math.inf for j in range(t0, t1 + 1)]
+        return float(t0 <= (0 if p == 0.0 else n) <= t1)
     log_p, log_q = math.log(p), math.log1p(-p)
-    out = []
+    terms = []
     c = math.comb(n, t0)
     for j in range(t0, t1 + 1):
-        out.append(math.log(c) + j * log_p + (n - j) * log_q)
+        terms.append(math.exp(math.log(c) + j * log_p + (n - j) * log_q))
         c = c * (n - j) // (j + 1)
-    return out
-
-
-def binomial_tail(n: int, p: float, t0: int, t1: int) -> float:
-    """Exact partial sum of the Binomial(n, p) pmf over j in [t0, t1].
-
-    Terms are formed in log space and accumulated with compensated summation,
-    so the result stays accurate even when individual factors underflow.
-    """
-    return math.fsum(math.exp(log_pmf) for log_pmf in _log_binom_pmfs(n, p, t0, t1))
-
-
-def binomial_tail_term_ratio(
-    n: int, p: float, t0: int, t1: int, mode: str = "first"
-) -> float:
-    """Ratio of the exact tail sum to its designated single term.
-
-    ``mode="first"`` designates the t0 term (accurate regime np -> 0);
-    ``mode="last"`` designates the t1 term (np -> infinity, t1 bounded).
-    The last-term mode rejects t1 > 20 since the approximation is only
-    meaningful for bounded t1 and degrades as t1 grows.
-    """
-    if mode not in ("first", "last"):
-        raise ValueError("mode must be 'first' or 'last'")
-    if mode == "last" and t1 > _LAST_TERM_T1_MAX:
-        raise ValueError(f"last-term mode requires t1 <= {_LAST_TERM_T1_MAX}")
-    log_pmfs = _log_binom_pmfs(n, p, t0, t1)
-    log_term = log_pmfs[0 if mode == "first" else -1]
-    if log_term == -math.inf:
-        raise ValueError("designated term is zero")
-    # summed relative to the designated term so the ratio survives even when
-    # every absolute term underflows
-    return math.fsum(math.exp(log_pmf - log_term) for log_pmf in log_pmfs)
+    return math.fsum(terms)
 
 
 def _poisson_pmf(j: int, mu: float) -> float:

@@ -187,6 +187,8 @@ def _perm_pack(args):
 
 def _unionfree(args):
     from . import unionfree
+    if not 1 <= args.n <= unionfree._MAX_GROUND:
+        raise ValueError(f"need 1 <= --n <= {unionfree._MAX_GROUND}")
     params = {"n": args.n, "p": args.p, "trials": args.trials}
     if args.exact_obstacles:
         params["obstacles_formula"] = unionfree.union_obstacle_count(args.n)
@@ -202,8 +204,8 @@ def _scan(args):
     params = {"experiment": args.experiment, "n": args.n}
     if args.experiment == "unionfree":
         from . import unionfree
-        if not 1 <= args.n <= 24:
-            raise ValueError("need 1 <= --n <= 24")
+        if not 1 <= args.n <= unionfree._MAX_GROUND:
+            raise ValueError(f"need 1 <= --n <= {unionfree._MAX_GROUND}")
         return params, lambda p: partial(unionfree.union_collision_trial, n=args.n, p=p), False
     if args.k is None or args.t is None:
         raise ValueError("design scans need --k and --t")
@@ -278,7 +280,7 @@ _EXPERIMENTS = {
         **_PERM_N, **_LAMBDA, "--p": _req(_probability), **_TRIALS,
     }, "trials", _perm_pack),
     "unionfree": _Experiment("union collisions over random subfamilies of a power set", {
-        "--n": _req(_number_in(int, 1, 24)), "--p": _req(_probability), **_TRIALS,
+        "--n": _req(int), "--p": _req(_probability), **_TRIALS,
         "--exact-obstacles": {"action": "store_true",
                               "help": "also report the exhaustive obstacle census (n <= 4)"},
     }, "trials", _unionfree),

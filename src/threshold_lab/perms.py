@@ -5,8 +5,6 @@ and flattening the rest onto [n] yields pi.  ``pattern_rank_table`` holds
 that relation for all of S_{n+1} at once, as lex ranks; the Monte Carlo
 covering and packing trials and the exact checks of the two lemmas (n^2 + 1
 covers per pattern, at most 4 shared by two patterns) all read it.
-``covering_set`` and ``joint_covers`` build single cover sets by value
-insertion, for small examples.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ from .analysis import clamp_probability, deficiency_count, overfull_count, selec
 from .errors import check_budget
 
 __all__ = [
-    "covering_set",
-    "joint_covers",
     "covering_threshold_p",
     "packing_threshold_bounds",
     "pattern_rank_table",
@@ -31,39 +27,6 @@ __all__ = [
     "verify_cover_counts",
     "verify_joint_bounds",
 ]
-
-
-def _check_perm(perm: tuple[int, ...]) -> None:
-    if sorted(perm) != list(range(1, len(perm) + 1)):
-        raise ValueError(f"{perm!r} is not a permutation of 1..{len(perm)}")
-
-
-def covering_set(pi: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """All permutations of [n+1] covering pi, built by value insertion.
-
-    For each value v in [n+1], lift the entries of pi at or above v, then
-    place v at each of the n+1 positions; deduplication leaves n^2 + 1
-    distinct covers.
-    """
-    _check_perm(pi)
-    n = len(pi)
-    out: set[tuple[int, ...]] = set()
-    for v in range(1, n + 2):
-        lifted = tuple(e + 1 if e >= v else e for e in pi)
-        for pos in range(n + 1):
-            out.add(lifted[:pos] + (v,) + lifted[pos:])
-    return out
-
-
-def joint_covers(
-    pi: tuple[int, ...], pi2: tuple[int, ...]
-) -> set[tuple[int, ...]]:
-    """Permutations of [n+1] covering both distinct patterns."""
-    if len(pi) != len(pi2):
-        raise ValueError("patterns must have equal length")
-    if pi == pi2:
-        raise ValueError("patterns must be distinct")
-    return covering_set(pi) & covering_set(pi2)
 
 
 def covering_threshold_p(n: int, lam: int, r: float) -> float:
@@ -182,7 +145,7 @@ def pack_trial(
 
 
 def verify_cover_counts(max_n: int) -> list[tuple[int, bool, int, int]]:
-    """Check |covering_set(pi)| = n^2 + 1 for every pattern, from a bincount
+    """Check that every pattern has exactly n^2 + 1 covers, from a bincount
     of the pattern table per size.
 
     Returns one (n, ok, worst observed, expected) row per size.
@@ -199,17 +162,20 @@ def verify_cover_counts(max_n: int) -> list[tuple[int, bool, int, int]]:
 
 def _joint_pair_keys(n: int) -> np.ndarray:
     """a * n! + b for every pair of patterns a < b that one row of the
-    pattern table covers together, one key per row and pair; its own
+    pattern table covers together, one key per row and pair, in the smallest
+    unsigned dtype that holds (n!)^2 (uint32 through n = 8); its own
     function so that its temporaries are freed before the keys are sorted."""
     left, right = np.triu_indices(n + 1, 1)
-    rows = factorial(n + 1)
-    # tracemalloc peaks near 24 bytes a pair, here and in the caller's unique
-    check_budget(24 * rows * len(left), f"pattern pairs of {rows} x {len(left)}")
+    rows, dtype = factorial(n + 1), np.min_scalar_type(factorial(n) ** 2)
+    # tracemalloc peaks near 17 bytes a pair in uint32 keys (n = 8), here and
+    # in the caller's unique
+    check_budget((4 * dtype.itemsize + 2) * rows * len(left),
+                 f"pattern pairs of {rows} x {len(left)}")
     table, sentinel = pattern_rank_table(n), factorial(n)
     # a sentinel may sit on either side of a real entry, so the mask tests both
     a, b = table[:, left], table[:, right]
     real = (a != sentinel) & (b != sentinel)
-    keys = np.minimum(a, b).astype(np.int64)
+    keys = np.minimum(a, b).astype(dtype)
     keys *= sentinel
     keys += np.maximum(a, b)
     return keys[real]

@@ -1,10 +1,10 @@
 """Representation counting for h-fold sums over integer sets.
 
 Core objects: the table counting, for each value s, the nondecreasing
-h-tuples of set elements summing to s; the bounded-multiplicity predicate
-(every sum represented at most g times); the truncated-basis predicate
-(every target-window sum represented at least g times); and the exhaustive
-counter of equal-sum tuple systems that drives growth-rate checks.
+h-tuples of set elements summing to s; the bounded-multiplicity trial
+(every sum represented at most g times); the truncated-basis trial (every
+target-window sum represented at least g times); and the exhaustive counter
+of equal-sum tuple systems that drives growth-rate checks.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .rng import bernoulli_ranks
 
 __all__ = [
     "representation_counts",
-    "is_bh_g",
-    "is_truncated_basis",
     "count_equal_sum_tuples",
     "sidon_threshold_k",
     "basis_threshold_p",
@@ -97,34 +95,12 @@ def representation_counts(elements, h: int) -> np.ndarray:
     return table[h]
 
 
-def is_bh_g(elements, h: int, g: int) -> bool:
-    """True when every sum value has at most g nondecreasing h-representations."""
-    if g < 1:
-        raise ValueError("g must be at least 1")
-    return _max_multiplicity(elements, h) <= g
-
-
 def _basis_window(elements, n: int, h: int, alpha: float) -> np.ndarray:
     """Representation counts of the sums in [alpha*n, (h-alpha)*n], endpoints
     rounded inward (ceil low, floor high); sums beyond the table count zero."""
     lo, hi = math.ceil(alpha * n), math.floor((h - alpha) * n)
     counts = representation_counts(elements, h)[lo : hi + 1]
     return np.pad(counts, (0, max(hi + 1 - lo, 0) - len(counts)))
-
-
-def is_truncated_basis(
-    elements, n: int, h: int, g: int, alpha: float
-) -> bool:
-    """True when every integer in [alpha*n, (h-alpha)*n] has at least g
-    nondecreasing h-representations over ``elements``.
-
-    Window endpoints are rounded inward (ceil low, floor high).
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    if g < 1:
-        raise ValueError("g must be at least 1")
-    return bool(np.all(_basis_window(elements, n, h, alpha) >= g))
 
 
 def count_equal_sum_tuples(n: int, h: int, g: int, l: int) -> int:

@@ -1,7 +1,9 @@
 """Slow, obviously correct references that the fast paths are tested against.
 Each trial here takes the same arguments as its counterpart in the package
 and selects with one coin per object of the universe, or throws one ball at a
-time; the counters and tables loop over pairs and subsets one at a time."""
+time; the counters and tables loop over pairs and subsets one at a time.  The
+cover sets are built by value insertion, and the Sidon predicates read the
+counts that the package's trials compute."""
 
 from collections import Counter, defaultdict
 from itertools import combinations, permutations
@@ -89,6 +91,39 @@ def tset_profile(ranks, n, k, t):
     return np.array([sum(m & tm == tm for m in chosen) for tm in tmasks], dtype=np.int64)
 
 
+def _check_perm(perm: tuple[int, ...]) -> None:
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise ValueError(f"{perm!r} is not a permutation of 1..{len(perm)}")
+
+
+def covering_set(pi: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """All permutations of [n+1] covering pi, built by value insertion.
+
+    For each value v in [n+1], lift the entries of pi at or above v, then
+    place v at each of the n+1 positions; deduplication leaves n^2 + 1
+    distinct covers.
+    """
+    _check_perm(pi)
+    n = len(pi)
+    out: set[tuple[int, ...]] = set()
+    for v in range(1, n + 2):
+        lifted = tuple(e + 1 if e >= v else e for e in pi)
+        for pos in range(n + 1):
+            out.add(lifted[:pos] + (v,) + lifted[pos:])
+    return out
+
+
+def joint_covers(
+    pi: tuple[int, ...], pi2: tuple[int, ...]
+) -> set[tuple[int, ...]]:
+    """Permutations of [n+1] covering both distinct patterns."""
+    if len(pi) != len(pi2):
+        raise ValueError("patterns must have equal length")
+    if pi == pi2:
+        raise ValueError("patterns must be distinct")
+    return covering_set(pi) & covering_set(pi2)
+
+
 def delete_and_flatten(rho, position):
     """Remove the entry at 1-based ``position`` and flatten onto [m-1]: every
     remaining entry larger than the removed value drops by one."""
@@ -112,7 +147,7 @@ def joint_cover_neighborhood(pi):
     n = len(pi)
     if n > _MAX_NEIGHBORHOOD_N:
         raise BudgetExceededError(f"set-based neighborhood capped at n = {_MAX_NEIGHBORHOOD_N}")
-    out = {delete_and_flatten(rho, i) for rho in perms.covering_set(pi) for i in range(1, n + 2)}
+    out = {delete_and_flatten(rho, i) for rho in covering_set(pi) for i in range(1, n + 2)}
     out.discard(pi)
     return out
 
@@ -189,7 +224,7 @@ def verify_cover_counts(max_n):
     rows = []
     for n in range(1, max_n + 1):
         expected = n * n + 1
-        sizes = {len(perms.covering_set(p)) for p in permutations(range(1, n + 1))}
+        sizes = {len(covering_set(p)) for p in permutations(range(1, n + 1))}
         rows.append((n, sizes == {expected}, max(sizes), expected))
     return rows
 
@@ -201,7 +236,7 @@ def verify_joint_bounds(max_n):
     for n in range(2, max_n + 1):
         pats = list(permutations(range(1, n + 1)))
         max_nbhd = max(len(joint_cover_neighborhood(p)) for p in pats)
-        cover_sets = [perms.covering_set(p) for p in pats]
+        cover_sets = [covering_set(p) for p in pats]
         max_joint = max(len(a & b) for a, b in combinations(cover_sets, 2))
         rows.append((n, max_nbhd <= n**3, max_nbhd, max_joint <= 4, max_joint))
     return rows
@@ -247,6 +282,28 @@ def pair_representation_counts(elements):
         block = els[a : a + sidon._PAIR_BLOCK]
         ordered += np.bincount((block[:, None] + els[None, :]).ravel(), minlength=top + 1)
     return (ordered + np.bincount(2 * els, minlength=top + 1)) // 2
+
+
+def is_bh_g(elements, h: int, g: int) -> bool:
+    """True when every sum value has at most g nondecreasing h-representations."""
+    if g < 1:
+        raise ValueError("g must be at least 1")
+    return sidon._max_multiplicity(elements, h) <= g
+
+
+def is_truncated_basis(
+    elements, n: int, h: int, g: int, alpha: float
+) -> bool:
+    """True when every integer in [alpha*n, (h-alpha)*n] has at least g
+    nondecreasing h-representations over ``elements``.
+
+    Window endpoints are rounded inward (ceil low, floor high).
+    """
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+    if g < 1:
+        raise ValueError("g must be at least 1")
+    return bool(np.all(sidon._basis_window(elements, n, h, alpha) >= g))
 
 
 def bh_g_trial(stream, n, h, g, p):

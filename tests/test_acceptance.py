@@ -20,6 +20,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from oracles import joint_covers
 from threshold_lab.analysis import (
     gumbel_sup_distance,
     loglog_slope,
@@ -43,7 +44,6 @@ from threshold_lab.designs import (
 from threshold_lab.perms import (
     cover_trial,
     covering_threshold_p as perm_covering_threshold_p,
-    joint_covers,
     verify_cover_counts,
     verify_joint_bounds,
 )

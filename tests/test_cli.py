@@ -269,6 +269,9 @@ def no_trials(monkeypatch):
         "perm cover --n 5 --lambda 1 --r nan --trials 2",
         # float64 Gamma draws stop resolving the waiting time's spread
         "balls --boxes 3 --lambda 4294967297 --waiting --trials 1",
+        # past unionfree's ground-set cap
+        "unionfree --n 25 --p 0.001 --trials 2",
+        "scan --experiment unionfree --n 25 --lo 0.002 --hi 0.2 --tol 0.02 --trials-per-eval 60",
     ],
 )
 def test_usage_errors_exit_2_before_any_trial(tmp_path, capsys, no_trials, args):
@@ -299,17 +302,17 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
 # every public name the package exported by eager import, by defining module
 _EXPORTED = {
     "analysis": "EULER_GAMMA MonteCarloSummary ThresholdScan binomial_tail "
-                "binomial_tail_term_ratio gumbel_sup_distance loglog_slope map_trials "
-                "poisson_tv_distance run_trials threshold_bisect wilson_interval",
+                "gumbel_sup_distance loglog_slope map_trials poisson_tv_distance run_trials "
+                "threshold_bisect wilson_interval",
     "balls": "OccupancyState count_overfull normalize_waiting_time packing_threshold_n "
              "waiting_time waiting_time_mean",
     "designs": "DesignParams covering_threshold_p deficiency_count expected_deficient "
                "overfull_count packing_threshold_p",
     "errors": "BracketError BudgetExceededError",
-    "perms": "covering_set joint_covers packing_threshold_bounds",
+    "perms": "packing_threshold_bounds",
     "rng": "bernoulli_ranks derive_stream throw_balls",
-    "sidon": "basis_threshold_p count_equal_sum_tuples is_bh_g is_truncated_basis "
-             "representation_counts sidon_threshold_k",
+    "sidon": "basis_threshold_p count_equal_sum_tuples representation_counts "
+             "sidon_threshold_k",
     "unionfree": "count_union_collisions determining_pairs janson_delta_bound "
                  "union_obstacle_bruteforce union_obstacle_count wuf_threshold_p",
 }

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (
     count_undercovered,
+    covering_set,
     covers,
     delete_and_flatten,
     joint_cover_neighborhood,
+    joint_covers,
     lex_rank,
     lex_unrank,
 )
@@ -21,9 +23,7 @@ from threshold_lab import perms
 from threshold_lab.errors import BudgetExceededError
 from threshold_lab.perms import (
     cover_trial,
-    covering_set,
     covering_threshold_p,
-    joint_covers,
     pack_trial,
     packing_threshold_bounds,
     pattern_rank_table,
@@ -298,6 +298,23 @@ def test_cover_trial_memory_on_a_cached_table():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_joint_pair_keys_stay_within_their_budget(monkeypatch):
+    # the bytes the n = 7 pair keys ask the budget for bound the traced peak
+    # of building them and of the caller's unique over them
+    pattern_rank_table(7)
+    asked = []
+    monkeypatch.setattr(perms, "check_budget", lambda nbytes, what: asked.append(nbytes))
+    tracemalloc.start()
+    try:
+        keys = perms._joint_pair_keys(7)
+        pairs, shared = np.unique(keys, return_counts=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.dtype == np.uint32 and int(shared.max()) == 4
+    assert keys.nbytes < peak <= asked[0]
 
 
 def test_joint_pair_budget():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import is_bh_g, is_truncated_basis
 from threshold_lab import sidon
 from threshold_lab.errors import BudgetExceededError
 from threshold_lab.rng import bernoulli_ranks, derive_stream
@@ -18,8 +19,6 @@ from threshold_lab.sidon import (
     basis_threshold_p,
     bh_g_trial,
     count_equal_sum_tuples,
-    is_bh_g,
-    is_truncated_basis,
     representation_counts,
     sidon_threshold_k,
     truncated_basis_trial,
