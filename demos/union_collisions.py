@@ -14,7 +14,6 @@ import numpy as np
 
 from threshold_lab.analysis import map_trials, threshold_bisect
 from threshold_lab.unionfree import (
-    determining_pairs,
     janson_delta_bound,
     union_collision_trial,
     union_obstacle_bruteforce,
@@ -43,8 +42,7 @@ def obstacle_census():
         ratio = union_obstacle_count(n) / (10.0**n / 8)
         print(f"    n={n}: formula / (10^n / 8) = {ratio:.6f}")
     k = 4
-    print(f"  determining maps on a {k}-set give {(3 ** k - 3) // 2} "
-          f"union decompositions ({len(determining_pairs((1 << k) - 1))} enumerated)")
+    print(f"  determining maps on a {k}-set give {(3 ** k - 3) // 2} union decompositions")
 
 
 def threshold_walk():

@@ -26,7 +26,7 @@ _PUBLIC = {
     "rng": "bernoulli_ranks derive_stream throw_balls",
     "sidon": "basis_threshold_p count_equal_sum_tuples representation_counts "
              "sidon_threshold_k",
-    "unionfree": "count_union_collisions determining_pairs janson_delta_bound "
+    "unionfree": "count_union_collisions janson_delta_bound "
                  "union_obstacle_bruteforce union_obstacle_count wuf_threshold_p",
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names.split()}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -197,36 +196,21 @@ def _run_chunk(args) -> list:
     return [trial_fn(stream := derive_stream(seed, i, stream)) for i in indices]
 
 
-class _Pool:
-    """A process pool of up to ``workers`` that opens on first use, with no
-    more processes than that first run has jobs (a pool shared by several
-    runs keeps that size); leaving it shuts down whatever was opened."""
+def _run_pooled(trial_fn, seed: int, indices: range, workers: int) -> list:
+    """Results of ``indices`` in order, run as ``min(len(indices), 4 * workers)``
+    contiguous index ranges on a pool of ``workers`` processes, opened for this
+    call and shut down before it returns."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads it
 
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._executor = None
-
-    def run(self, trial_fn, seed: int, indices: range) -> list:
-        """Results of ``indices`` in order, run as contiguous index ranges."""
-        n, n_chunks = len(indices), min(len(indices), self.workers * 4)
-        jobs = [(trial_fn, seed, indices[c * n // n_chunks:(c + 1) * n // n_chunks])
-                for c in range(n_chunks)]
-        if self._executor is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads it
-            # fork, so workers inherit the parent's cached tables (3.14 defaults to
-            # forkserver); a forking pool starts all its processes at the first submit
-            self._executor = ProcessPoolExecutor(
-                max_workers=min(self.workers, n_chunks),
-                mp_context=multiprocessing.get_context("fork"))
-        return [value for part in self._executor.map(_run_chunk, jobs) for value in part]
-
-    def __enter__(self) -> _Pool:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
+    n, n_chunks = len(indices), min(len(indices), 4 * workers)
+    jobs = [(trial_fn, seed, indices[c * n // n_chunks:(c + 1) * n // n_chunks])
+            for c in range(n_chunks)]
+    # fork, so workers inherit the parent's cached tables (3.14 defaults to
+    # forkserver); a forking pool starts all its processes at the first submit
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        return [value for part in pool.map(_run_chunk, jobs) for value in part]
 
 
 def map_trials(
@@ -234,8 +218,6 @@ def map_trials(
     trials: int,
     seed: int,
     workers: int = 1,
-    *,
-    pool: _Pool | None = None,
 ) -> list:
     """Run ``trial_fn`` once per trial index and return results in index order.
 
@@ -245,8 +227,8 @@ def map_trials(
     ``workers > 1`` it prices the trials left at the time per trial since
     trial 0 (whose time includes any table build); once what a pool of
     ``w = min(workers, rest)`` processes would save, ``rest * (1 - 1/w)``,
-    exceeds ``_POOL_START_S``, the rest runs in contiguous index ranges on
-    ``pool`` if given, else on a pool opened for this call.  The pool forks
+    exceeds ``_POOL_START_S``, the rest runs in contiguous index ranges on a
+    pool of ``w`` processes, shut down before this returns.  The pool forks
     after trial 0, so its workers inherit the tables that trial built; the
     trial function must then be picklable (a top-level function or partial
     of one).
@@ -261,9 +243,9 @@ def map_trials(
         if workers > 1 and i >= 2 and (
                 measured := time.perf_counter() - since) > _POOL_START_S / 10:
             rest = trials - i
-            if rest * measured / (i - 1) * (1 - 1 / min(workers, rest)) > _POOL_START_S:
-                with _Pool(workers) if pool is None else nullcontext(pool) as executor:
-                    return results + executor.run(trial_fn, seed, range(i, trials))
+            w = min(workers, rest)
+            if rest * measured / (i - 1) * (1 - 1 / w) > _POOL_START_S:
+                return results + _run_pooled(trial_fn, seed, range(i, trials), w)
         results.append(trial_fn(stream := derive_stream(seed, i, stream)))
         if i == 0:
             since = time.perf_counter()
@@ -275,12 +257,10 @@ def run_trials(
     trials: int,
     seed: int,
     workers: int = 1,
-    *,
-    pool: _Pool | None = None,
 ) -> MonteCarloSummary:
     """Estimate a success probability with a Wilson 95% interval; a trial
     succeeds when it returns true, or an ``(X, holds)`` pair with ``holds`` true."""
-    results = map_trials(trial_fn, trials, seed, workers, pool=pool)
+    results = map_trials(trial_fn, trials, seed, workers)
     successes = sum(1 for r in results if (r[1] if isinstance(r, tuple) else r))
     lo, hi = wilson_interval(successes, trials)
     return MonteCarloSummary(trials, successes, successes / trials, lo, hi)
@@ -311,9 +291,9 @@ def threshold_bisect(
     scored as in ``run_trials``; ``increasing`` declares whether the success
     probability rises with the parameter.  Endpoints must straddle the
     target beyond their Wilson intervals or a BracketError is raised.  Every
-    probe gets a fresh sub-seed derived from ``(seed, probe_index)``.  With
-    ``workers > 1`` the probes that open a pool (see ``map_trials``) share
-    one, shut down however the bisection ends.
+    probe gets a fresh sub-seed derived from ``(seed, probe_index)`` and runs
+    as ``run_trials`` does, so with ``workers > 1`` a probe that opens a pool
+    (see ``map_trials``) has it shut down before the next probe starts.
     """
     if not p_lo < p_hi:
         raise ValueError("need p_lo < p_hi")
@@ -325,34 +305,32 @@ def threshold_bisect(
 
     def evaluate(param: float) -> MonteCarloSummary:
         probe_seed = _probe_seed(seed, len(scan.rows))
-        summary = run_trials(make_trial(param), trials_per_eval, probe_seed, workers, pool=pool)
+        summary = run_trials(make_trial(param), trials_per_eval, probe_seed, workers)
         scan.rows.append((param, summary))
         return summary
 
-    # one pool for every probe, so its workers start once and keep their table caches
-    with _Pool(workers) as pool:
-        s_lo = evaluate(p_lo)
-        s_hi = evaluate(p_hi)
-        lo_ok = s_lo.ci_high < target if increasing else s_lo.ci_low > target
-        hi_ok = s_hi.ci_low > target if increasing else s_hi.ci_high < target
-        if not (lo_ok and hi_ok):
-            raise BracketError(
-                f"endpoint estimates do not straddle target={target}: "
-                f"P({p_lo:g})={s_lo.estimate:.3f} "
-                f"[{s_lo.ci_low:.3f},{s_lo.ci_high:.3f}], "
-                f"P({p_hi:g})={s_hi.estimate:.3f} "
-                f"[{s_hi.ci_low:.3f},{s_hi.ci_high:.3f}]"
-            )
+    s_lo = evaluate(p_lo)
+    s_hi = evaluate(p_hi)
+    lo_ok = s_lo.ci_high < target if increasing else s_lo.ci_low > target
+    hi_ok = s_hi.ci_low > target if increasing else s_hi.ci_high < target
+    if not (lo_ok and hi_ok):
+        raise BracketError(
+            f"endpoint estimates do not straddle target={target}: "
+            f"P({p_lo:g})={s_lo.estimate:.3f} "
+            f"[{s_lo.ci_low:.3f},{s_lo.ci_high:.3f}], "
+            f"P({p_hi:g})={s_hi.estimate:.3f} "
+            f"[{s_hi.ci_low:.3f},{s_hi.ci_high:.3f}]"
+        )
 
-        lo, hi = p_lo, p_hi
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            est = evaluate(mid).estimate
-            below = est < target
-            if below == increasing:
-                lo = mid
-            else:
-                hi = mid
+    lo, hi = p_lo, p_hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        est = evaluate(mid).estimate
+        below = est < target
+        if below == increasing:
+            lo = mid
+        else:
+            hi = mid
     scan.p_half = 0.5 * (lo + hi)
     scan.rows.sort(key=lambda row: row[0])
     return scan

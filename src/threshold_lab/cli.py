@@ -54,20 +54,12 @@ _positive_float = _number_in(float, 0.0, above=True)
 _probability = _number_in(float, 0.0, 1.0)
 
 
-def _default_workers() -> int:
-    """THRESHOLD_LAB_WORKERS if set, else the CPUs this process may run on."""
-    env = os.environ.get("THRESHOLD_LAB_WORKERS")
-    if env:
-        return _positive_int(env)
-    return len(os.sched_getaffinity(0))
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_number_in(int, 0, 2**64 - 1), default=0,
                         help="master seed, a 64-bit unsigned integer (default 0)")
     parser.add_argument(
         "--workers", type=_positive_int, default=None,
-        help="trial parallelism (default: THRESHOLD_LAB_WORKERS or usable CPU count)")
+        help="trial parallelism (default: usable CPU count)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -75,12 +67,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _check_common(args, parser: argparse.ArgumentParser) -> None:
     """Resolve the worker count and vet --out before any trial runs."""
     if args.workers is None:
-        try:
-            args.workers = _default_workers()
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"THRESHOLD_LAB_WORKERS {exc}")
+        args.workers = len(os.sched_getaffinity(0))
     if args.out is not None:
-        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        if not args.out:
+            parser.error("--out: empty path")
+        if not os.path.isdir(os.path.dirname(os.path.realpath(args.out))):
             parser.error(f"--out {args.out}: its directory does not exist")
         if os.path.isdir(args.out):
             parser.error(f"--out {args.out}: is a directory")
@@ -312,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kw in experiment.flags.items():
             p.add_argument(flag, **kw)
         _add_common(p)
-        p.set_defaults(experiment_name=name)
+        p.set_defaults(experiment_name=name, command_parser=p)
     return top
 
 
@@ -339,13 +330,19 @@ def _emit(args, command: str, params: dict, columns: list[str], rows: list[tuple
     if args.out is None:
         sys.stdout.write(text)
         return
-    # atomic: never leave partial output behind
-    directory = os.path.dirname(os.path.abspath(args.out)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".threshold-lab-", dir=directory)
+    if os.path.exists(args.out) and not os.path.isfile(args.out):
+        # a FIFO or a device cannot be replaced by a rename: write through
+        with open(args.out, "w") as fh:
+            fh.write(text)
+        return
+    # atomic: never leave partial output behind; a symlink keeps pointing at
+    # its target, which is written in the target's directory
+    target = os.path.realpath(args.out)
+    fd, tmp = tempfile.mkstemp(prefix=".threshold-lab-", dir=os.path.dirname(target))
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.replace(tmp, args.out)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -373,8 +370,9 @@ def _rows(args, kind: str, params: dict, work: tuple) -> tuple[list[str], list[t
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # usage errors print the usage of the command that was parsed
+    parser = args.command_parser
     _check_common(args, parser)
     name = args.experiment_name
     experiment = _EXPERIMENTS[name]

@@ -18,7 +18,6 @@ from .errors import BudgetExceededError, check_budget
 from .rng import bernoulli_ranks
 
 __all__ = [
-    "determining_pairs",
     "count_union_collisions",
     "union_obstacle_count",
     "union_obstacle_bruteforce",
@@ -28,39 +27,10 @@ __all__ = [
 ]
 
 _MAX_GROUND = 24          # a p > 1/2 selection draws its O(2^n) complement ranks
-_MAX_DETERMINING_K = 13   # 3^k map enumeration
 _MAX_BRUTE_N = 4          # exhaustive obstacle census
 # bytes per union-matrix cell live at once while counting: at most three
 # int64 arrays (the matrix, a sorted copy or run bounds, run lengths) and a mask
 _PAIR_TABLE_BYTES = 3 * 8 + 1
-
-
-def determining_pairs(u_mask: int) -> list[tuple[int, int]]:
-    """All unordered pairs {R, S} with R u S = U, from maps U -> {0, 1, 2}.
-
-    Each element of U lands in R only, S only, or both; non-constant maps
-    modulo the R/S swap give (3^k - 3) / 2 distinct pairs for |U| = k.
-    Pairs come back as (smaller mask, larger mask).
-    """
-    if u_mask < 0:
-        raise ValueError("u_mask must be non-negative")
-    elements = [e for e in range(u_mask.bit_length()) if u_mask >> e & 1]
-    k = len(elements)
-    if k > _MAX_DETERMINING_K:
-        raise BudgetExceededError(f"3^{k} determining maps exceed the budget")
-    if k == 0:
-        return []
-    codes = np.arange(3**k, dtype=np.int64)
-    r_masks = np.zeros(3**k, dtype=np.int64)
-    s_masks = np.zeros(3**k, dtype=np.int64)
-    for j, e in enumerate(elements):
-        digit = (codes // 3**j) % 3
-        r_masks += (digit != 1) << e
-        s_masks += (digit != 0) << e
-    # keep one map per swap pair; R < S also drops the all-0 and all-2
-    # constants, and the all-1 constant (R empty) is excluded explicitly
-    keep = (r_masks < s_masks) & (codes != (3**k - 1) // 2)
-    return list(zip(r_masks[keep].tolist(), s_masks[keep].tolist()))
 
 
 def _equal_pairs(runs: np.ndarray) -> int:

@@ -3,7 +3,9 @@ Each trial here takes the same arguments as its counterpart in the package
 and selects with one coin per object of the universe, or throws one ball at a
 time; the counters and tables loop over pairs and subsets one at a time.  The
 cover sets are built by value insertion, and the Sidon predicates read the
-counts that the package's trials compute."""
+counts that the package's trials compute.  The pairs that make up a union
+are enumerated from its determining maps, the count behind
+``unionfree.union_obstacle_count``."""
 
 from collections import Counter, defaultdict
 from itertools import combinations, permutations
@@ -16,6 +18,8 @@ from threshold_lab.errors import BudgetExceededError
 
 # largest pattern size the set-based neighborhood enumerates
 _MAX_NEIGHBORHOOD_N = 6
+# largest union size whose 3^k determining maps are enumerated
+_MAX_DETERMINING_K = 13
 
 
 def dense_bernoulli_ranks(universe_size, p, stream):
@@ -52,6 +56,34 @@ def union_collisions_bruteforce(family):
         if (a | b) == (c | d) and len({a, b, c, d}) == 4:
             total += 1
     return total
+
+
+def determining_pairs(u_mask: int) -> list[tuple[int, int]]:
+    """All unordered pairs {R, S} with R u S = U, from maps U -> {0, 1, 2}.
+
+    Each element of U lands in R only, S only, or both; non-constant maps
+    modulo the R/S swap give (3^k - 3) / 2 distinct pairs for |U| = k.
+    Pairs come back as (smaller mask, larger mask).
+    """
+    if u_mask < 0:
+        raise ValueError("u_mask must be non-negative")
+    elements = [e for e in range(u_mask.bit_length()) if u_mask >> e & 1]
+    k = len(elements)
+    if k > _MAX_DETERMINING_K:
+        raise BudgetExceededError(f"3^{k} determining maps exceed the budget")
+    if k == 0:
+        return []
+    codes = np.arange(3**k, dtype=np.int64)
+    r_masks = np.zeros(3**k, dtype=np.int64)
+    s_masks = np.zeros(3**k, dtype=np.int64)
+    for j, e in enumerate(elements):
+        digit = (codes // 3**j) % 3
+        r_masks += (digit != 1) << e
+        s_masks += (digit != 0) << e
+    # keep one map per swap pair; R < S also drops the all-0 and all-2
+    # constants, and the all-1 constant (R empty) is excluded explicitly
+    keep = (r_masks < s_masks) & (codes != (3**k - 1) // 2)
+    return list(zip(r_masks[keep].tolist(), s_masks[keep].tolist()))
 
 
 def is_weakly_union_free(family):

@@ -20,7 +20,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from oracles import joint_covers
+from oracles import determining_pairs, joint_covers
 from threshold_lab.analysis import (
     gumbel_sup_distance,
     loglog_slope,
@@ -51,7 +51,6 @@ from threshold_lab.rng import derive_stream
 from threshold_lab.sidon import bh_g_trial, count_equal_sum_tuples, truncated_basis_trial
 from threshold_lab.unionfree import (
     count_union_collisions,
-    determining_pairs,
     union_collision_trial,
     union_obstacle_bruteforce,
     union_obstacle_count,

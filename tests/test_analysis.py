@@ -1,4 +1,3 @@
-import concurrent.futures
 import itertools
 import math
 import multiprocessing
@@ -225,21 +224,6 @@ def test_map_trials_worker_invariance(monkeypatch, opened, trials, workers):
     assert opened == ([min(workers, trials - 2)] if trials > 3 else [])
 
 
-@pytest.fixture
-def opened(monkeypatch):
-    """The ``max_workers`` of every pool opened during the test."""
-    opened = []
-
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    # analysis imports the pool class from concurrent.futures when it opens one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    return opened
-
-
 def test_cheap_trials_open_no_pool(monkeypatch, opened):
     # a clock that moves 5 us a reading, one reading a trial, so a stalled
     # trial cannot make the rest look worth a pool
@@ -333,14 +317,15 @@ def test_bisect_bracket_violation():
         )
 
 
-def test_bisect_runs_every_probe_on_one_pool(monkeypatch, opened):
+def test_bisect_opens_and_shuts_a_pool_per_probe(monkeypatch, opened):
     # cheap probes open no pool, so a free pool stands in for costly ones
     monkeypatch.setattr(analysis, "_POOL_START_S", 0.0)
     args = (lambda p: partial(_biased_coin, p=p), 0.0, 1.0)
     kwargs = dict(trials_per_eval=40, tol=0.05, seed=3, increasing=True)
     pooled = threshold_bisect(*args, workers=2, **kwargs)
-    assert opened == [2]
     assert len(pooled.rows) > 3
+    assert opened == [2] * len(pooled.rows)
+    assert multiprocessing.active_children() == []
     serial = threshold_bisect(*args, workers=1, **kwargs)
     assert pooled.rows == serial.rows
     assert pooled.p_half == serial.p_half
@@ -359,7 +344,7 @@ def test_bisect_bracket_violation_shuts_pool_down(monkeypatch, opened):
             increasing=False,
             workers=2,
         )
-    assert opened == [2]
+    assert opened == [2, 2]  # one pool for each endpoint probe
     assert multiprocessing.active_children() == []
 
 

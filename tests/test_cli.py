@@ -1,14 +1,18 @@
 import gc
 import hashlib
 import json
+import multiprocessing
 import os
+import shlex
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from threshold_lab import cli, perms
+from threshold_lab import analysis, cli, perms
 from threshold_lab.cli import main
 
 
@@ -200,17 +204,6 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     assert "cover-count,1,0,3,2" in capsys.readouterr().out.splitlines()
 
 
-def test_env_var_workers(tmp_path, monkeypatch):
-    monkeypatch.setenv("THRESHOLD_LAB_WORKERS", "2")
-    a = tmp_path / "a.csv"
-    args = "unionfree --n 6 --p 0.05 --trials 10 --seed 1".split()
-    assert _run(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("THRESHOLD_LAB_WORKERS", "1")
-    b = tmp_path / "b.csv"
-    assert _run(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 @pytest.mark.parametrize(
     "args",
     [
@@ -251,6 +244,7 @@ def no_trials(monkeypatch):
         f"{_CHECK} --workers 0",
         f"{_CHECK} --out {{tmp}}/missing/f.csv",
         f"{_CHECK} --out {{tmp}}",
+        f"{_CHECK} --out ''",
         f"{_SCAN} --tol 0 --trials-per-eval 60",
         f"{_SIDON_SCAN} --tol 0 --trials-per-eval 60",
         f"{_SCAN} --tol 0.02 --trials-per-eval 0",
@@ -276,27 +270,74 @@ def no_trials(monkeypatch):
 )
 def test_usage_errors_exit_2_before_any_trial(tmp_path, capsys, no_trials, args):
     with pytest.raises(SystemExit) as err:
-        _run(args.format(tmp=tmp_path).split())
+        _run(shlex.split(args.format(tmp=tmp_path)))
     assert err.value.code == 2
     stderr = capsys.readouterr().err
     assert "error:" in stderr and "Traceback" not in stderr
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_bad_env_workers_exit_2(tmp_path, capsys, monkeypatch, no_trials, value):
-    monkeypatch.setenv("THRESHOLD_LAB_WORKERS", value)
+@pytest.mark.parametrize("args, command", [
+    ("unionfree --n 25 --p 0.1 --trials 2", "unionfree"),
+    (f"{_CHECK} --out {{tmp}}", "sidon check"),
+], ids=["handler", "common"])
+def test_usage_errors_print_the_commands_usage(tmp_path, capsys, no_trials, args, command):
     with pytest.raises(SystemExit) as err:
-        _run(_CHECK.split() + ["--out", str(tmp_path / "a.csv")])
+        _run(args.format(tmp=tmp_path).split())
     assert err.value.code == 2
-    assert "THRESHOLD_LAB_WORKERS" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert f"usage: threshold-lab {command} " in capsys.readouterr().err
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("THRESHOLD_LAB_WORKERS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
-    assert cli._default_workers() == 3
+    args = cli.build_parser().parse_args(_CHECK.split())
+    cli._check_common(args, args.command_parser)
+    assert args.workers == 3
+
+
+@pytest.mark.parametrize("args", [
+    "unionfree --n 8 --p 0.05 --trials 12 --seed 3",
+    "scan --experiment unionfree --n 8 --lo 0.002 --hi 0.2 --tol 0.05 --trials-per-eval 40"
+    " --seed 2",
+], ids=["trials", "scan"])
+def test_a_pooled_run_leaves_no_process_behind(tmp_path, monkeypatch, opened, args):
+    # a free pool stands in for costly trials, so every run of the rest forks
+    monkeypatch.setattr(analysis, "_POOL_START_S", 0.0)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert _run(args.split() + ["--out", str(a), "--workers", "2"]) == 0
+    assert opened and set(opened) == {2}
+    assert multiprocessing.active_children() == []
+    assert _run(args.split() + ["--out", str(b), "--workers", "1"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["target", "dangling"])
+def test_out_through_a_symlink_replaces_its_target(tmp_path, exists):
+    target = tmp_path / "real" / "out.csv"
+    target.parent.mkdir()
+    if exists:
+        target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert _run(_BALLS.split() + ["--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text().startswith("# threshold-lab v")
+    assert list(target.parent.iterdir()) == [target]  # no temp file left beside it
+
+
+def test_out_to_a_fifo_writes_through(tmp_path):
+    regular, fifo = tmp_path / "out.csv", tmp_path / "fifo"
+    assert _run(_BALLS.split() + ["--out", str(regular)]) == 0
+    os.mkfifo(fifo)
+    read = []
+    # a daemon, so a run that never opens the FIFO cannot hold the suite open
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert _run(_BALLS.split() + ["--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert read == [regular.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(tmp_path.iterdir()) == [fifo, regular]
 
 
 # every public name the package exported by eager import, by defining module
@@ -313,7 +354,7 @@ _EXPORTED = {
     "rng": "bernoulli_ranks derive_stream throw_balls",
     "sidon": "basis_threshold_p count_equal_sum_tuples representation_counts "
              "sidon_threshold_k",
-    "unionfree": "count_union_collisions determining_pairs janson_delta_bound "
+    "unionfree": "count_union_collisions janson_delta_bound "
                  "union_obstacle_bruteforce union_obstacle_count wuf_threshold_p",
 }
 _BALLS = "balls --boxes 10 --balls 5 --trials 1 --workers 1"

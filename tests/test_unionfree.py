@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import is_weakly_union_free
+from oracles import determining_pairs, is_weakly_union_free
 from threshold_lab.errors import BudgetExceededError
 from threshold_lab.rng import derive_stream
 from threshold_lab.unionfree import (
     count_union_collisions,
-    determining_pairs,
     janson_delta_bound,
     union_collision_trial,
     union_obstacle_bruteforce,
