@@ -43,8 +43,10 @@ EULER_GAMMA = 0.57721566490153286061
 _Z95 = 1.959963984540054
 
 # wall seconds a pool of trials costs before it saves any (its import, fork,
-# first map and shutdown), measured on a 2-vCPU VM, see BENCH_11.json
-_POOL_START_S = 0.08
+# first map and shutdown): the priced saving at which `perm cover --n 8`
+# runs break even at --workers 2 from the CLI, plus a margin for the noise
+# of the per-trial time that prices it; 2-vCPU VM, see BENCH_19.json
+_POOL_START_S = 0.15
 
 # table entries that one gather and bincount of selected rows takes at a time
 _COUNT_BLOCK = 1 << 16

@@ -90,22 +90,27 @@ def _coverage_incidence(n: int, k: int, t: int) -> np.ndarray:
 
     Column j takes the members at the j-th t-combination of the k positions;
     the colex rank of e_0 < ... < e_{t-1} is sum_i C(e_i, i + 1), one gather
-    per position from a table of int64 binomials (C(e, i + 1) of an e no
-    k-set reaches may exceed C(n, t)).  The int64 sums are returned in the
-    smallest unsigned dtype that holds C(n, t).
+    per position from a table of C(e, i + 1), added up in the smallest
+    unsigned dtype that holds C(n, t).  Gather table entries are clipped to
+    C(n, t); no k-set reaches a clipped one, and each partial sum of a rank
+    is at most the rank, so no sum overflows.  The k-sets are enumerated as
+    uint8 (n <= 30).
     """
     u = comb(n, k)
-    # live at once (the tracemalloc peak): the table, one gathered temporary of
-    # its size, two u x k arrays; the narrowed copy is made once the temporaries are freed
+    # charged at 16 bytes a table cell and a k-set member, above what the build
+    # traces, so that past 2^22 rows it is over the budget for every valid
+    # (n, k, t) and stands as the row cap
     check_budget(16 * u * (comb(k, t) + k), f"incidence tables of C({n},{k}) x C({k},{t}) ranks")
+    n_tsets = comb(n, t)
+    dtype = np.min_scalar_type(n_tsets)
     ksets = np.fromiter(
-        chain.from_iterable(combinations(range(n), k)), dtype=np.int64, count=u * k
+        chain.from_iterable(combinations(range(n), k)), dtype=np.uint8, count=u * k
     ).reshape(u, k)
-    out = np.zeros((u, comb(k, t)), dtype=np.int64)
+    out = np.zeros((u, comb(k, t)), dtype=dtype)
     for i, positions in enumerate(zip(*combinations(range(k), t))):
-        binom = np.array([comb(e, i + 1) for e in range(n)], dtype=np.int64)
-        out += binom[ksets][:, positions]
-    return out.astype(np.min_scalar_type(comb(n, t)))
+        binom = np.array([min(comb(e, i + 1), n_tsets) for e in range(n)], dtype=dtype)
+        out += binom[ksets[:, positions]]
+    return out
 
 
 def covering_threshold_p(params: DesignParams, r: float) -> float:

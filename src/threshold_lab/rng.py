@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_budget
+
 __all__ = [
     "bernoulli_ranks",
     "derive_stream",
@@ -52,13 +54,22 @@ def bernoulli_ranks(
     with probability p: a Binomial(universe_size, p) size, then that many
     distinct uniform ranks (Devroye 1986, ch. XII), the law of one coin per
     index at O(p * universe_size) draws.  Above p = 1/2 the dropped indices
-    are drawn at 1 - p instead."""
+    are drawn at 1 - p instead.  The bytes the selection allocates are
+    checked against the memory budget once the size is drawn."""
     if universe_size < 0:
         raise ValueError("universe_size must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     q = min(p, 1.0 - p)
     size = int(stream.binomial(universe_size, q))
+    # numpy's choice draws into a hash set of at most 2.4 * size + 1 int64
+    # slots or, once size passes U/20 at U > 10000 (numpy 2.4), shuffles an
+    # int64 arange of the whole universe, charged here from U/50 on; the sort
+    # copies the choice, and the complement adds a mask and the ranks it keeps
+    shuffled = size > universe_size // 50
+    check_budget(36 * size + 8 + (8 * universe_size if shuffled else 0)
+                 + (9 * universe_size - 8 * size if p > 0.5 else 0),
+                 f"selection arrays for {size} of {universe_size} indices")
     ranks = np.sort(stream.choice(universe_size, size, replace=False, shuffle=False))
     if p <= 0.5:
         return ranks

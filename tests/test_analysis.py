@@ -238,6 +238,18 @@ def test_cheap_trials_open_no_pool(monkeypatch, opened):
     assert opened == []
 
 
+@pytest.mark.parametrize("share,pools", [(0.99, []), (1.01, [2])])
+def test_pool_opens_once_its_priced_saving_passes_0_15_s(monkeypatch, opened, share, pools):
+    # 12 trials on a clock that moves one step a reading: priced at trial 2,
+    # after one step, the 10 trials left on two workers save 10 * step / 2
+    step = 0.15 * share / 5
+    ticks = itertools.count()
+    monkeypatch.setattr(analysis, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * step))
+    assert map_trials(_index_draw, 12, seed=5, workers=2) == map_trials(
+        _index_draw, 12, seed=5, workers=1)
+    assert opened == pools
+
+
 @pytest.mark.parametrize("block", [1, 5, 6, 7, 1 << 16])
 def test_selected_row_counts_in_blocks_match_one_bincount(monkeypatch, block):
     # blocks of under one row, of whole rows, and straddling a row boundary

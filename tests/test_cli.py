@@ -100,12 +100,13 @@ def test_balls_memory_budget_exit_1(tmp_path, capsys, args):
         "design --n 24 --k 12 --t 6 --mode pack --p 0.001 --trials 2 --workers 2",
         "sidon basis --n 2000000000 --h 2 --g 2 --alpha 0.5 --A 0 --trials 1",
         "sidon check --n 1000000000 --h 3 --g 1 --k 2000 --trials 2 --workers 2",
+        "sidon check --n 100000000 --h 2 --g 1 --k 50000000 --trials 1",
     ],
 )
 def test_table_memory_budget_exit_1(tmp_path, capsys, args):
     # the union matrix of ~16800 members, the 2704156 x 924 incidence table,
-    # a 4*10^9-bin pair-sum table and ~1.3*10^9 tuple sums are sized in bytes
-    # before they are allocated
+    # a 4*10^9-bin pair-sum table, ~1.3*10^9 tuple sums and a selection of
+    # ~5*10^7 of 10^8 indices are sized in bytes before they are allocated
     _assert_budget_exit_1(tmp_path, capsys, args)
 
 

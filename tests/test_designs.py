@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from threshold_lab import designs
 from threshold_lab.designs import (
     DesignParams,
     _coverage_incidence,
@@ -69,13 +71,37 @@ def test_incidence_memory_budget_checked_before_building():
         _coverage_incidence.__wrapped__(24, 12, 6)
 
 
-def test_incidence_budget_refuses_every_table_over_2_to_22_rows():
+def test_incidence_budget_refuses_every_table_over_2_to_22_rows(monkeypatch):
     # so the byte budget alone does the work of a row cap, for every valid n <= 30
+    asked = []
+
+    def record_and_refuse(nbytes, what):
+        asked.append(nbytes)
+        raise LookupError(what)
+
+    monkeypatch.setattr(designs, "check_budget", record_and_refuse)
     for n in range(2, 31):
         for k in range(2, n + 1):
             for t in range(1, k):
                 if comb(n, k) > 1 << 22:
-                    assert 16 * comb(n, k) * (comb(k, t) + k) > MAX_ARRAY_BYTES, (n, k, t)
+                    with pytest.raises(LookupError):
+                        _coverage_incidence.__wrapped__(n, k, t)
+                    assert asked[-1] > MAX_ARRAY_BYTES, (n, k, t)
+
+
+@pytest.mark.parametrize("n,k,t,limit", [(20, 5, 2, 1 << 20), (22, 6, 3, 10 << 20)])
+def test_incidence_build_stays_within_its_budget(monkeypatch, n, k, t, limit):
+    # the table is added up in its final dtype, so its build traces a few
+    # times the table and never what it asked the budget for
+    asked = []
+    monkeypatch.setattr(designs, "check_budget", lambda nbytes, what: asked.append(nbytes))
+    tracemalloc.start()
+    try:
+        table = _coverage_incidence.__wrapped__(n, k, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes < peak <= min(limit, asked[0])
 
 
 def test_trials_at_degenerate_p():

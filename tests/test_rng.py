@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import oracles
 from threshold_lab import designs, perms, sidon, unionfree
+from threshold_lab.errors import BudgetExceededError
 from threshold_lab.rng import bernoulli_ranks, derive_stream, throw_balls
 
 
@@ -151,6 +154,38 @@ def test_bernoulli_ranks_edges():
             bernoulli_ranks(10, p, rng)
     with pytest.raises(ValueError):
         bernoulli_ranks(-1, 0.5, rng)
+
+
+# (universe, p): a sparse draw, one past U/50, a partial shuffle of the
+# whole universe for a few ranks, a complement, and a small universe
+@pytest.mark.parametrize("n, p", [(10**6, 0.005), (10**6, 0.03), (10**6, 0.06), (10**6, 0.9),
+                                  (5000, 0.6)])
+def test_bernoulli_ranks_stays_within_its_budget(monkeypatch, n, p):
+    asked = []
+    monkeypatch.setattr("threshold_lab.rng.check_budget", lambda nbytes, what: asked.append(nbytes))
+    bernoulli_ranks(n, p, derive_stream(83, 0))
+    tracemalloc.start()
+    try:
+        ranks = bernoulli_ranks(n, p, derive_stream(83, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks.nbytes < peak <= asked[-1]
+
+
+def test_bernoulli_ranks_budget_refuses_before_the_choice(monkeypatch):
+    monkeypatch.setattr("threshold_lab.errors.MAX_ARRAY_BYTES", 1 << 20)
+    # about 5000 of 10^6 ranks fit; half of 10^7 (an 80 MB shuffle) is
+    # refused before anything of its size is allocated
+    assert len(bernoulli_ranks(10**6, 0.005, derive_stream(84, 0))) > 4000
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="memory budget"):
+            bernoulli_ranks(10**7, 0.5, derive_stream(84, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _two_sample_pvalue(a, b) -> float:
