@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import (binomial_tail, clamp_probability, deficiency_count, overfull_count,
                        selected_row_counts)
-from .errors import BudgetExceededError, check_budget
+from .errors import check_budget
 
 __all__ = [
     "DesignParams",
@@ -31,10 +31,6 @@ __all__ = [
     "deficiency_trial",
     "overfull_trial",
 ]
-
-_MAX_N = 30
-# largest k-set universe we will enumerate
-_MAX_UNIVERSE = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -49,8 +45,12 @@ class DesignParams:
     def __post_init__(self):
         if not 1 <= self.t < self.k <= self.n:
             raise ValueError("need 1 <= t < k <= n")
-        if self.n > _MAX_N:
-            raise ValueError(f"n is capped at {_MAX_N}")
+        # the float64 counts C(n, t) and C(n - t, k - t) must be exact, and their
+        # product is C(n, k) * C(k, t); as C(a, b) >= 2^min(b, a - b), a side
+        # past 53 is refused before any binomial is computed
+        if (max(min(self.k, self.n - self.k), min(self.t, self.k - self.t)) > 53
+                or comb(self.n, self.k) * comb(self.k, self.t) > 1 << 53):
+            raise ValueError("need C(n,k) * C(k,t) <= 2^53, exact in float64")
         if self.lam < 1:
             raise ValueError("lam must be at least 1")
 
@@ -65,52 +65,43 @@ class DesignParams:
 
 
 @lru_cache(maxsize=8)
-def _kset_masks(n: int, k: int) -> np.ndarray:
-    """All k-subset masks of [n] in lexicographic member order.
-
-    No trial calls this; it stays while ``bench/layers.py`` clears its cache.
-    """
-    u = comb(n, k)
-    if u > _MAX_UNIVERSE:
-        raise BudgetExceededError(
-            f"C({n},{k}) = {u} k-sets exceed the enumeration budget"
-        )
-    masks = np.empty(u, dtype=np.int64)
-    for i, c in enumerate(combinations(range(n), k)):
-        m = 0
-        for e in c:
-            m |= 1 << e
-        masks[i] = m
-    return masks
-
-
-@lru_cache(maxsize=8)
 def _coverage_incidence(n: int, k: int, t: int) -> np.ndarray:
     """Row i lists the colex ranks of the t-subsets inside the i-th k-subset.
 
     Column j takes the members at the j-th t-combination of the k positions;
     the colex rank of e_0 < ... < e_{t-1} is sum_i C(e_i, i + 1), one gather
-    per position from a table of C(e, i + 1), added up in the smallest
-    unsigned dtype that holds C(n, t).  Gather table entries are clipped to
-    C(n, t); no k-set reaches a clipped one, and each partial sum of a rank
-    is at most the rank, so no sum overflows.  The k-sets are enumerated as
-    uint8 (n <= 30).
+    per position from a table of C(e, i + 1).  Each table is the running sum
+    of the one before (C(e, i + 2) sums C(m, i + 1) over m < e), kept modulo
+    2^64, and the ranks are added up modulo the range of the smallest
+    unsigned dtype that holds C(n, t), which is exact as every rank is below
+    C(n, t).  Members and positions are enumerated in the smallest unsigned
+    dtypes that hold n - 1 and k - 1.
     """
-    u = comb(n, k)
-    # charged at 16 bytes a table cell and a k-set member, above what the build
-    # traces, so that past 2^22 rows it is over the budget for every valid
-    # (n, k, t) and stands as the row cap
-    check_budget(16 * u * (comb(k, t) + k), f"incidence tables of C({n},{k}) x C({k},{t}) ranks")
-    n_tsets = comb(n, t)
-    dtype = np.min_scalar_type(n_tsets)
-    ksets = np.fromiter(
-        chain.from_iterable(combinations(range(n), k)), dtype=np.uint8, count=u * k
-    ).reshape(u, k)
-    out = np.zeros((u, comb(k, t)), dtype=dtype)
-    for i, positions in enumerate(zip(*combinations(range(k), t))):
-        binom = np.array([min(comb(e, i + 1), n_tsets) for e in range(n)], dtype=dtype)
-        out += binom[ksets[:, positions]]
+    u, cols = comb(n, k), comb(k, t)
+    # charged above what the build traces: 16 bytes a table cell and a k-set
+    # member (over the budget past 2^23 rows, and past 2^22 once k >= 4), 4 a
+    # position, 48 an element of [n] and of the k positions (the Python ints
+    # that enumerate them, and the gather tables), and 2 a cell for the
+    # gathers of each pass, which bounds the time of the t passes with the table
+    check_budget(16 * u * (cols + k) + 4 * t * cols + 48 * (n + k),
+                 f"incidence tables of C({n},{k}) x C({k},{t}) ranks")
+    check_budget(2 * t * u * cols, f"the {t} gather passes over C({n},{k}) x C({k},{t}) cells")
+    dtype = np.min_scalar_type(comb(n, t))
+    ksets = np.fromiter(chain.from_iterable(combinations(range(n), k)),
+                        dtype=np.min_scalar_type(n - 1), count=u * k).reshape(u, k)
+    positions = np.fromiter(chain.from_iterable(combinations(range(k), t)),
+                            dtype=np.min_scalar_type(k - 1), count=cols * t).reshape(cols, t)
+    out = np.zeros((u, cols), dtype=dtype)
+    binom = np.arange(n, dtype=np.uint64)  # C(e, 1)
+    for column_positions in positions.T:
+        out += binom.astype(dtype)[ksets[:, column_positions]]
+        binom = np.cumsum(binom) - binom
     return out
+
+
+# not called by any trial: ``bench/layers.py`` clears the table caches by this
+# name, so it stays an alias until the benchmark stops naming it
+_kset_masks = _coverage_incidence
 
 
 def covering_threshold_p(params: DesignParams, r: float) -> float:

@@ -2,10 +2,10 @@
 
 A family of subsets of [n] is weakly union-free when no four distinct
 members A, B, C, D satisfy A u B = C u D.  Collisions are counted as
-unordered pairs of disjoint member-pairs sharing a union.  The obstacle
-census (how many such configurations the full power set admits) has a
-closed-form overcount via determining maps, checked here against an
-exhaustive oracle at small n.
+unordered pairs of disjoint member-pairs sharing a union, members being
+int64 masks.  The obstacle census (how many such configurations the full
+power set admits) has a closed form via determining maps, and an exhaustive
+count that the memory budget admits up to n = 12.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceededError, check_budget
+from .errors import check_budget
 from .rng import bernoulli_ranks
 
 __all__ = [
@@ -26,8 +26,8 @@ __all__ = [
     "union_collision_trial",
 ]
 
-_MAX_GROUND = 24          # a p > 1/2 selection draws its O(2^n) complement ranks
-_MAX_BRUTE_N = 4          # exhaustive obstacle census
+# the 2^n ranks and their union masks are int64, and 1 << 63 overflows
+_MAX_GROUND = 62
 # bytes per union-matrix cell live at once while counting: at most three
 # int64 arrays (the matrix, a sorted copy or run bounds, run lengths) and a mask
 _PAIR_TABLE_BYTES = 3 * 8 + 1
@@ -88,9 +88,9 @@ def union_obstacle_count(n: int) -> int:
 def union_obstacle_bruteforce(n: int) -> int:
     """Exhaustive census over P([n]): unordered pairs of member-pairs with
     equal unions and four distinct sets, the collision count of the whole
-    power set.  Capped at n = 4."""
-    if not 0 <= n <= _MAX_BRUTE_N:
-        raise BudgetExceededError(f"exhaustive obstacle census capped at n = {_MAX_BRUTE_N}")
+    power set.  Its union tables are budgeted before the power set is built,
+    which refuses n = 13; a negative n raises ValueError."""
+    check_budget(_PAIR_TABLE_BYTES << 2 * n, f"union tables of the {1 << n}-member power set")
     return count_union_collisions(np.arange(1 << n))
 
 

@@ -44,10 +44,12 @@ def test_balls_overfull_mode(tmp_path):
     assert out.read_text().splitlines()[1] == "trial,X"
 
 
-def test_design_rejects_large_n():
-    with pytest.raises(SystemExit) as err:
-        _run("design --n 40 --k 4 --t 2 --mode cover --r 0 --trials 2".split())
-    assert err.value.code == 2
+def test_design_runs_past_n_30(tmp_path):
+    # only the memory budget limits n
+    out = tmp_path / "d.csv"
+    assert _run("design --n 40 --k 4 --t 2 --mode cover --r 0 --trials 2".split()
+                + ["--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "trial,X,prop_holds"
 
 
 def test_design_requires_p_or_r():
@@ -96,15 +98,20 @@ def test_balls_memory_budget_exit_1(tmp_path, capsys, args):
     [
         "unionfree --n 24 --p 0.001 --trials 1",
         "unionfree --n 24 --p 0.001 --trials 2 --workers 2",
+        "unionfree --n 30 --p 0.9 --trials 1",
         "design --n 24 --k 12 --t 6 --mode cover --p 0.5 --trials 1",
         "design --n 24 --k 12 --t 6 --mode pack --p 0.001 --trials 2 --workers 2",
+        "design --n 100000 --k 100000 --t 99999 --mode cover --r 0 --trials 1",
+        "design --n 2000 --k 1999 --t 1998 --mode cover --r 0 --trials 1",
         "sidon basis --n 2000000000 --h 2 --g 2 --alpha 0.5 --A 0 --trials 1",
         "sidon check --n 1000000000 --h 3 --g 1 --k 2000 --trials 2 --workers 2",
         "sidon check --n 100000000 --h 2 --g 1 --k 50000000 --trials 1",
     ],
 )
 def test_table_memory_budget_exit_1(tmp_path, capsys, args):
-    # the union matrix of ~16800 members, the 2704156 x 924 incidence table,
+    # the union matrix of ~16800 members, the complement of a 0.1 selection
+    # from 2^30 ranks, the 2704156 x 924 incidence table, the 10^10 positions
+    # of a 1 x 10^5 one, the 1998 gather passes over a 2000 x 1999 one,
     # a 4*10^9-bin pair-sum table, ~1.3*10^9 tuple sums and a selection of
     # ~5*10^7 of 10^8 indices are sized in bytes before they are allocated
     _assert_budget_exit_1(tmp_path, capsys, args)
@@ -264,9 +271,13 @@ def no_trials(monkeypatch):
         "perm cover --n 5 --lambda 1 --r nan --trials 2",
         # float64 Gamma draws stop resolving the waiting time's spread
         "balls --boxes 3 --lambda 4294967297 --waiting --trials 1",
+        # counts past 2^53, refused before C(10^6, 5*10^5) is computed
+        "design --n 1000000 --k 500000 --t 1 --mode pack --p 0.1 --trials 1",
+        "scan --experiment design-cover --n 1000000 --k 500000 --t 1 --lo 0.002 --hi 0.2"
+        " --tol 0.02 --trials-per-eval 60",
         # past unionfree's ground-set cap
-        "unionfree --n 25 --p 0.001 --trials 2",
-        "scan --experiment unionfree --n 25 --lo 0.002 --hi 0.2 --tol 0.02 --trials-per-eval 60",
+        "unionfree --n 63 --p 0.001 --trials 2",
+        "scan --experiment unionfree --n 63 --lo 0.002 --hi 0.2 --tol 0.02 --trials-per-eval 60",
     ],
 )
 def test_usage_errors_exit_2_before_any_trial(tmp_path, capsys, no_trials, args):
@@ -279,7 +290,7 @@ def test_usage_errors_exit_2_before_any_trial(tmp_path, capsys, no_trials, args)
 
 
 @pytest.mark.parametrize("args, command", [
-    ("unionfree --n 25 --p 0.1 --trials 2", "unionfree"),
+    ("unionfree --n 63 --p 0.1 --trials 2", "unionfree"),
     (f"{_CHECK} --out {{tmp}}", "sidon check"),
 ], ids=["handler", "common"])
 def test_usage_errors_print_the_commands_usage(tmp_path, capsys, no_trials, args, command):

@@ -34,9 +34,13 @@ def test_params_validation():
     with pytest.raises(ValueError):
         DesignParams(12, 13, 2, 1)
     with pytest.raises(ValueError):
-        DesignParams(31, 4, 2, 1)
-    with pytest.raises(ValueError):
         DesignParams(12, 4, 2, 0)
+    # C(n, k) * C(k, t) must be exact in float64: 2^53 is, 2 * C(2^27, 2) is
+    # not, and C(10^6, 5*10^5) is refused before it is computed
+    DesignParams(2**53, 2**53, 1)
+    for n, k in [(2**27, 2), (10**6, 5 * 10**5)]:
+        with pytest.raises(ValueError, match="2\\^53"):
+            DesignParams(n, k, 1)
 
 
 def test_colex_rank_numbers_subsets():
@@ -59,8 +63,10 @@ def test_incidence_matches_row_by_row_colex_ranks_small():
 
 
 # (20, 19, 18): the i = 8 gather table holds C(19, 9) = 92378, which no
-# 18-subset of [20] reaches but the uint8 of C(20, 18) = 190 could not hold
-@pytest.mark.parametrize("n,k,t", [(14, 4, 2), (20, 5, 2), (22, 6, 3), (20, 19, 18)])
+# 18-subset of [20] reaches but the uint8 of C(20, 18) = 190 could not hold;
+# (40, 3, 2) and (300, 2, 1) are past n = 30, and 300 members take uint16
+@pytest.mark.parametrize("n,k,t", [(14, 4, 2), (20, 5, 2), (22, 6, 3), (20, 19, 18),
+                                   (40, 3, 2), (300, 2, 1)])
 def test_incidence_matches_row_by_row_colex_ranks(n, k, t):
     _assert_incidence_matches_oracle(n, k, t)
 
@@ -71,8 +77,9 @@ def test_incidence_memory_budget_checked_before_building():
         _coverage_incidence.__wrapped__(24, 12, 6)
 
 
-def test_incidence_budget_refuses_every_table_over_2_to_22_rows(monkeypatch):
-    # so the byte budget alone does the work of a row cap, for every valid n <= 30
+def _asked_for(monkeypatch, n, k, t):
+    """Bytes the build of the (n, k, t) table asks the budget for first; the
+    patched check refuses them, so no table is built."""
     asked = []
 
     def record_and_refuse(nbytes, what):
@@ -80,19 +87,61 @@ def test_incidence_budget_refuses_every_table_over_2_to_22_rows(monkeypatch):
         raise LookupError(what)
 
     monkeypatch.setattr(designs, "check_budget", record_and_refuse)
-    for n in range(2, 31):
-        for k in range(2, n + 1):
-            for t in range(1, k):
-                if comb(n, k) > 1 << 22:
-                    with pytest.raises(LookupError):
-                        _coverage_incidence.__wrapped__(n, k, t)
-                    assert asked[-1] > MAX_ARRAY_BYTES, (n, k, t)
+    with pytest.raises(LookupError):
+        _coverage_incidence.__wrapped__(n, k, t)
+    return asked[0]
 
 
-@pytest.mark.parametrize("n,k,t,limit", [(20, 5, 2, 1 << 20), (22, 6, 3, 10 << 20)])
+def test_incidence_budget_refuses_tables_over_2_to_23_rows_and_over_2_to_22_from_k_4(
+        monkeypatch):
+    # so the byte budget alone does the work of a row cap: at every n <= 30,
+    # and at the k = 2 and k = 3 edges past it, where some tables of over
+    # 2^22 rows fit
+    cases = [(n, k, t) for n in range(2, 31) for k in range(2, n + 1) for t in range(1, k)]
+    cases += [(n, 2, 1) for n in range(2890, 4200, 3)]
+    cases += [(n, 3, t) for n in range(290, 420) for t in (1, 2)]
+    fits_past_2_to_22 = set()
+    for n, k, t in cases:
+        rows = comb(n, k)
+        if rows > 1 << 22:
+            asked = _asked_for(monkeypatch, n, k, t)
+            if rows > (1 << 22 if k >= 4 else 1 << 23):
+                assert asked > MAX_ARRAY_BYTES, (n, k, t)
+            elif asked <= MAX_ARRAY_BYTES:
+                fits_past_2_to_22.add(k)
+    assert fits_past_2_to_22 == {2, 3}
+
+
+def test_incidence_budget_refuses_a_large_t(monkeypatch):
+    # one k-set of 10^5 members has only 10^5 columns, but their 10^10
+    # positions are charged before they are enumerated
+    assert _asked_for(monkeypatch, 100000, 100000, 99999) > MAX_ARRAY_BYTES
+
+
+def test_incidence_budget_charges_every_gather_pass(monkeypatch):
+    # the 2000 x 1999 table fits, but its 1998 gather passes, which would
+    # take minutes, are refused before the table is built
+    asked = []
+
+    def record_and_refuse_the_passes(nbytes, what):
+        asked.append(nbytes)
+        if "passes" in what:
+            raise LookupError(what)
+
+    monkeypatch.setattr(designs, "check_budget", record_and_refuse_the_passes)
+    with pytest.raises(LookupError):
+        _coverage_incidence.__wrapped__(2000, 1999, 1998)
+    assert asked[0] <= MAX_ARRAY_BYTES < asked[1]
+
+
+# (16384, 16384, 1) is one row whose build traces the Python ints of [n],
+# and (500, 500, 499) one whose 499 x 500 positions outweigh the table
+@pytest.mark.parametrize("n,k,t,limit", [(20, 5, 2, 1 << 20), (22, 6, 3, 10 << 20),
+                                         (16384, 16384, 1, 3 << 19), (500, 500, 499, 1 << 20)])
 def test_incidence_build_stays_within_its_budget(monkeypatch, n, k, t, limit):
     # the table is added up in its final dtype, so its build traces a few
-    # times the table and never what it asked the budget for
+    # times the table and what enumerates it, and never what it asked the
+    # budget for
     asked = []
     monkeypatch.setattr(designs, "check_budget", lambda nbytes, what: asked.append(nbytes))
     tracemalloc.start()

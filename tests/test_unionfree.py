@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import determining_pairs, is_weakly_union_free
 from threshold_lab.errors import BudgetExceededError
-from threshold_lab.rng import derive_stream
+from threshold_lab.rng import bernoulli_ranks, derive_stream
 from threshold_lab.unionfree import (
     count_union_collisions,
     janson_delta_bound,
@@ -146,11 +147,22 @@ def test_obstacle_bruteforce_values():
     # strictly monotone under ground-set growth, and below the formula
     assert 1 < 39 < 673
     assert union_obstacle_bruteforce(3) < union_obstacle_count(3)
-    with pytest.raises(BudgetExceededError):
-        union_obstacle_bruteforce(5)
+    with pytest.raises(ValueError):
+        union_obstacle_bruteforce(-1)
+    # the 25 * 4^n bytes of union tables are refused before the power set is
+    # built, which at n = 20 would trace 8 MiB
+    for n in (13, 20):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="memory budget"):
+                union_obstacle_bruteforce(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, n
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(7))
 def test_obstacle_census_matches_quadruple_loop(n):
     assert union_obstacle_bruteforce(n) == oracles.union_collisions_bruteforce(range(1 << n))
 
@@ -176,12 +188,38 @@ def test_trial_reports_property():
     x, holds = union_collision_trial(derive_stream(71, 0), 8, 0.02)
     assert holds == (x == 0)
     with pytest.raises(ValueError):
-        union_collision_trial(derive_stream(71, 1), 25, 0.1)
+        union_collision_trial(derive_stream(71, 1), 63, 0.1)
 
 
-def test_expected_collisions_markov():
-    # mean collision count against p^4 times the exact small-n census
-    n, p, trials = 4, 0.1, 4000
+# The ranks of 2^40 and 2^62 sets reach past bit 32.  The n = 40 family
+# has no collision at its threshold and two at twice it.  At n = 62 the
+# oracle takes seconds on the ~1450 members of the threshold, so a p of
+# 2^-55 keeps about 128 members, which do not collide: that case checks only
+# that no collision is made up, and the next test adds colliding members.
+@pytest.mark.parametrize("n, p, collides", [(40, wuf_threshold_p(40), False),
+                                            (40, 2 * wuf_threshold_p(40), True),
+                                            (62, 2.0**-55, False)])
+def test_trial_counts_int64_masks_above_2_to_32(n, p, collides):
+    x, holds = union_collision_trial(derive_stream(74, n), n, p)
+    masks = bernoulli_ranks(1 << n, p, derive_stream(74, n))
+    assert masks[-1] >> 32
+    assert x == oracles.count_union_collisions(masks.tolist())
+    assert (x > 0) == collides and holds == (x == 0)
+
+
+def test_counts_collisions_of_masks_above_bit_58():
+    # {61} u {59, 60} = {60, 61} u {59}, among the 128 members drawn at n = 62
+    drawn = bernoulli_ranks(1 << 62, 2.0**-55, derive_stream(74, 62))
+    family = np.union1d(drawn, [1 << 61, 3 << 59, 3 << 60, 1 << 59])
+    x = count_union_collisions(family)
+    assert x > 0 and x == oracles.count_union_collisions(family.tolist())
+
+
+# n = 10 takes fewer trials: its ~100-member union tables cost a few times n = 4's
+@pytest.mark.parametrize("n, trials", [(4, 4000), (10, 500)])
+def test_expected_collisions_markov(n, trials):
+    # mean collision count against p^4 times the exact census
+    p = 0.1
     xs = np.array(
         [union_collision_trial(derive_stream(72, i), n, p)[0] for i in range(trials)]
     )
