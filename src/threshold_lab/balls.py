@@ -31,6 +31,8 @@ __all__ = [
 # at lam = 2^32 the margin is 2^36, while near lam = 10^30 the excess is lost
 # and every waiting time reads N lam exactly
 MAX_WAITING_LAM = 1 << 32
+# most Gamma draws a waiting time holds at once (64 KiB); any size gives the same bits
+_GAMMA_LEAF = 8192
 
 
 @dataclass
@@ -61,6 +63,19 @@ def packing_threshold_n(n_boxes: int, lam: int) -> float:
     return n_boxes ** (lam / (lam + 1))
 
 
+def _gamma_max_sum(n: int, lam: int, stream: np.random.Generator) -> tuple[float, float]:
+    """Max and sum of n Gamma(lam) draws taken a leaf of numpy's pairwise sum
+    at a time: it halves a float64 run at n // 2 rounded down to a multiple
+    of 8, left half first, so both equal those of the n drawn at once, bit for bit."""
+    if n <= _GAMMA_LEAF:
+        g = stream.standard_gamma(lam, size=n)
+        return g.max(), g.sum()
+    half = n // 2 - n // 2 % 8
+    left_max, left_sum = _gamma_max_sum(half, lam, stream)
+    right_max, right_sum = _gamma_max_sum(n - half, lam, stream)
+    return max(left_max, right_max), left_sum + right_sum
+
+
 def waiting_time(n_boxes: int, lam: int, stream: np.random.Generator) -> int:
     """Number of balls thrown until every box holds at least ``lam``.
 
@@ -70,14 +85,15 @@ def waiting_time(n_boxes: int, lam: int, stream: np.random.Generator) -> int:
     ball at G_i ~ Gamma(lam), independently, and every box is covered at
     tau = max G_i.  Between G_i and tau box i receives Poisson(tau - G_i)
     more balls, independently given the G's (strong Markov property), so the
-    throws made by tau number N lam + Poisson(N tau - sum G_i).  O(N) draws
-    and memory, however long the wait.
+    throws made by tau number N lam + Poisson(N tau - sum G_i).  O(N) draws,
+    however long the wait, held at most _GAMMA_LEAF at a time; the budget
+    charges the 8 bytes a box that bound the work.
     """
     if n_boxes < 1 or not 1 <= lam <= MAX_WAITING_LAM:
         raise ValueError(f"need n_boxes >= 1 and 1 <= lam <= {MAX_WAITING_LAM}")
     check_budget(8 * n_boxes, f"{n_boxes} Gamma draws")
-    g = stream.standard_gamma(lam, size=n_boxes)
-    return n_boxes * lam + int(stream.poisson(max(n_boxes * g.max() - g.sum(), 0.0)))
+    top, total = _gamma_max_sum(n_boxes, lam, stream)
+    return n_boxes * lam + int(stream.poisson(max(n_boxes * top - total, 0.0)))
 
 
 def waiting_time_mean(n_boxes: int, lam: int) -> float:

@@ -15,14 +15,18 @@ exhaustive table.  A model module is imported by the experiments that use it.
 from __future__ import annotations
 
 import os
+import sys
 
 # before numpy loads: no command calls BLAS, and an idle OpenBLAS thread spins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# nor hashes anything, yet numpy.random imports secrets, hmac and _hashlib, which
+# maps OpenSSL's libcrypto; hashlib and hmac fall back to their builtin digests
+# (all but scrypt), and a process that has already loaded _hashlib keeps it
+sys.modules.setdefault("_hashlib", None)
 
 import argparse
 import gc
 import math
-import sys
 import tempfile
 from functools import partial
 from typing import Callable, NamedTuple, NoReturn

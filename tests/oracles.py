@@ -5,7 +5,8 @@ time; the counters and tables loop over pairs and subsets one at a time.  The
 cover sets are built by value insertion, and the Sidon predicates read the
 counts that the package's trials compute.  The pairs that make up a union
 are enumerated from its determining maps, the count behind
-``unionfree.union_obstacle_count``."""
+``unionfree.union_obstacle_count``.  The one-shot waiting time holds all its
+Gamma draws at once."""
 
 from collections import Counter, defaultdict
 from itertools import combinations, permutations
@@ -28,23 +29,21 @@ def dense_bernoulli_ranks(universe_size, p, stream):
 
 
 def count_union_collisions(family):
-    """Group member pairs by union mask; a union class of c pairs gives C(c, 2)
-    pairings, less those sharing a member (two distinct pairs share at most one)."""
+    """Count the member pairs of each union, then list the pairs of only the
+    unions that repeat: a union class of c pairs gives C(c, 2) pairings, less
+    those sharing a member (two distinct pairs share at most one)."""
     masks = list(family)
     if len(set(masks)) != len(masks):
         raise ValueError("family contains duplicate members")
-    classes = defaultdict(list)
+    classes = Counter(a | b for a, b in combinations(masks, 2))
+    repeated = {u for u, c in classes.items() if c > 1}
+    member_uses = Counter()
     for a, b in combinations(masks, 2):
-        classes[a | b].append((a, b))
-    total = 0
-    for pairs in classes.values():
-        member_uses = defaultdict(int)
-        for a, b in pairs:
-            member_uses[a] += 1
-            member_uses[b] += 1
-        total += len(pairs) * (len(pairs) - 1) // 2
-        total -= sum(u * (u - 1) // 2 for u in member_uses.values())
-    return total
+        if a | b in repeated:
+            member_uses[a | b, a] += 1
+            member_uses[a | b, b] += 1
+    return (sum(c * (c - 1) // 2 for c in classes.values())
+            - sum(u * (u - 1) // 2 for u in member_uses.values()))
 
 
 def union_collisions_bruteforce(family):
@@ -357,3 +356,9 @@ def waiting_time(n_boxes, lam, stream):
                 short -= 1
                 if short == 0:
                     return thrown
+
+
+def waiting_time_one_shot(n_boxes, lam, stream):
+    """``balls.waiting_time`` with all N Gamma(lam) draws held at once."""
+    g = stream.standard_gamma(lam, size=n_boxes)
+    return n_boxes * lam + int(stream.poisson(max(n_boxes * g.max() - g.sum(), 0.0)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.stats import ks_2samp
 
 import oracles
 
+from threshold_lab import balls
 from threshold_lab.analysis import EULER_GAMMA, run_trials, wilson_interval
 from threshold_lab.balls import (
     OccupancyState,
@@ -101,6 +103,33 @@ def test_waiting_time_law_matches_direct_throws(n, lam):
     fast = [waiting_time(n, lam, derive_stream(90, i)) for i in range(k)]
     slow = [oracles.waiting_time(n, lam, derive_stream(91, i)) for i in range(k)]
     assert ks_2samp(fast, slow).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 7, 8192, 8193, 3 * 8192 + 5, 100003, 10**6])
+@pytest.mark.parametrize("lam", [1, 2, 3])
+def test_waiting_time_equals_one_shot_draws(n, lam):
+    # the draws taken a summation leaf at a time give the same max and sum,
+    # so the same T, as all N drawn at once, and leave the stream alike; T
+    # passes the sum through one Poisson draw, which hides a last-bit change,
+    # so the max and sum are compared too
+    for i in range(3):
+        fast, slow = derive_stream(95, i), derive_stream(95, i)
+        assert waiting_time(n, lam, fast) == oracles.waiting_time_one_shot(n, lam, slow)
+        assert fast.random() == slow.random()
+        g = derive_stream(97, i).standard_gamma(lam, size=n)
+        assert balls._gamma_max_sum(n, lam, derive_stream(97, i)) == (g.max(), g.sum())
+
+
+def test_waiting_time_holds_one_leaf_of_draws():
+    # a leaf of 8192 draws is 64 KiB, where all 10^6 at once would be 8 MB
+    stream = derive_stream(96, 0)
+    tracemalloc.start()
+    try:
+        waiting_time(10**6, 2, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 2**20
 
 
 def test_overfull_monotone_in_balls():

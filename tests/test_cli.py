@@ -455,6 +455,27 @@ def test_entry_points_pin_blas_to_one_thread(tmp_path, entry, caller):
         assert threads == "1"  # numpy loaded, and no OpenBLAS thread was started
 
 
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_entry_points_map_no_openssl(tmp_path, entry):
+    # numpy.random would load _hashlib, and so libcrypto, through secrets and hmac
+    report = ("any(lib in line for line in open('/proc/self/maps') for lib in ('libcrypto', 'libssl')),"
+              " sys.modules['_hashlib'] is None,"
+              " importlib.import_module('hashlib').sha256(b'').hexdigest()")
+    assert _run_entry(entry, report, tmp_path) == [
+        "False", "True", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"]
+
+
+def test_an_in_process_run_keeps_a_loaded_hashlib(tmp_path):
+    argv = [*_BALLS.split(), "--out", str(tmp_path / "out.csv")]
+    _python("-c", f"""
+import sys
+import _hashlib
+from threshold_lab.cli import main
+assert main({argv!r}) == 0
+assert sys.modules["_hashlib"] is _hashlib
+""")
+
+
 # sha256 of each line's output bytes at --workers 1; a sampler change that
 # moves any of them updates the digest here and logs the output change
 _GOLDEN = [

@@ -192,12 +192,13 @@ def test_trial_reports_property():
 
 
 # The ranks of 2^40 and 2^62 sets reach past bit 32.  The n = 40 family
-# has no collision at its threshold and two at twice it.  At n = 62 the
-# oracle takes seconds on the ~1450 members of the threshold, so a p of
-# 2^-55 keeps about 128 members, which do not collide: that case checks only
+# has no collision at its threshold and two at twice it.  At n = 62 neither
+# the 1429 members of the threshold draw, which the oracle counts in under a
+# second, nor the 128 that a p of 2^-55 keeps collide: those cases check only
 # that no collision is made up, and the next test adds colliding members.
 @pytest.mark.parametrize("n, p, collides", [(40, wuf_threshold_p(40), False),
                                             (40, 2 * wuf_threshold_p(40), True),
+                                            (62, wuf_threshold_p(62), False),
                                             (62, 2.0**-55, False)])
 def test_trial_counts_int64_masks_above_2_to_32(n, p, collides):
     x, holds = union_collision_trial(derive_stream(74, n), n, p)
