@@ -180,16 +180,22 @@ def _perm_pack(args):
     return params, _COUNT_COLUMNS, partial(perms.pack_trial, n=args.n, lam=args.lam, p=args.p)
 
 
+def _union_trial(n: int):
+    from . import unionfree
+    if not 1 <= n <= unionfree._MAX_GROUND:
+        raise ValueError(f"need 1 <= --n <= {unionfree._MAX_GROUND}")
+    return lambda p: partial(unionfree.union_collision_trial, n=n, p=p)
+
+
 def _unionfree(args):
     from . import unionfree
-    if not 1 <= args.n <= unionfree._MAX_GROUND:
-        raise ValueError(f"need 1 <= --n <= {unionfree._MAX_GROUND}")
+    trial = _union_trial(args.n)(args.p)
     params = {"n": args.n, "p": args.p, "trials": args.trials}
     if args.exact_obstacles:
         params["obstacles_formula"] = unionfree.union_obstacle_count(args.n)
         if args.n <= 4:
             params["obstacles_exact"] = unionfree.union_obstacle_bruteforce(args.n)
-    return params, _COUNT_COLUMNS, partial(unionfree.union_collision_trial, n=args.n, p=args.p)
+    return params, _COUNT_COLUMNS, trial
 
 
 def _scan(args):
@@ -198,10 +204,7 @@ def _scan(args):
         raise ValueError("need 0 <= --lo < --hi <= 1")
     params = {"experiment": args.experiment, "n": args.n}
     if args.experiment == "unionfree":
-        from . import unionfree
-        if not 1 <= args.n <= unionfree._MAX_GROUND:
-            raise ValueError(f"need 1 <= --n <= {unionfree._MAX_GROUND}")
-        return params, lambda p: partial(unionfree.union_collision_trial, n=args.n, p=p), False
+        return params, _union_trial(args.n), False
     if args.k is None or args.t is None:
         raise ValueError("design scans need --k and --t")
     from . import designs

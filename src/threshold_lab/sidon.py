@@ -10,13 +10,12 @@ of equal-sum tuple systems that drives growth-rate checks.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 
 import numpy as np
 
-from .errors import BudgetExceededError, check_budget
+from .analysis import _COUNT_BLOCK
+from .errors import check_budget
 from .rng import bernoulli_ranks
 
 __all__ = [
@@ -27,10 +26,6 @@ __all__ = [
     "bh_g_trial",
     "truncated_basis_trial",
 ]
-
-# budget for the exhaustive equal-sum tuple enumeration
-_MAX_TUPLES = 2_000_000
-_MAX_COMBOS = 30_000_000
 
 # pairwise-sum tables are built in row blocks to bound the outer-product size
 _PAIR_BLOCK = 256
@@ -88,10 +83,7 @@ def representation_counts(elements, h: int) -> np.ndarray:
     table[0, 0] = 1
     for a in els.tolist():
         for j in range(1, h + 1):
-            if a == 0:
-                table[j, :] += table[j - 1, :]
-            else:
-                table[j, a:] += table[j - 1, : top + 1 - a]
+            table[j, a:] += table[j - 1, : top + 1 - a]
     return table[h]
 
 
@@ -103,45 +95,57 @@ def _basis_window(elements, n: int, h: int, alpha: float) -> np.ndarray:
     return np.pad(counts, (0, max(hi + 1 - lo, 0) - len(counts)))
 
 
+def _extend(start, width):
+    """(row, index) for every index in [start, start + width) of each row, in row order."""
+    rows = np.repeat(np.arange(len(width)), width)
+    step = np.arange(len(rows))
+    step += (start + width - np.cumsum(width))[rows]
+    return rows, step
+
+
 def count_equal_sum_tuples(n: int, h: int, g: int, l: int) -> int:
     """Exhaustively count (g+1)-tuples of nondecreasing h-tuples over [n]
     that are strictly increasing lexicographically, share one common sum,
-    and use exactly l distinct values.
+    and use exactly l distinct values; 0 outside l in [g+1, h(g+1)].
 
-    Counts are 0 outside l in [g+1, h(g+1)]; in particular l <= g is an
-    overdetermined system and contributes nothing.  Raises
-    BudgetExceededError when the enumeration would exceed the fixed budget
-    (for h=2, g=1 this admits n well past 60; larger h, g shrink the range).
-    """
+    Before any tuple exists, BudgetExceededError refuses a census whose 2h + 3
+    int64 a tuple and block of subsets a depth (at most _COUNT_BLOCK rows and
+    one group's, and no more rows than subsets) exceed the memory budget, or
+    whose subsets do at 16 bytes each: at h = 2, g = 1, past n = 738."""
     if h < 2 or g < 1 or n < 1:
         raise ValueError("need h >= 2, g >= 1, n >= 1")
     if l > h * (g + 1) or l < 1:
         return 0
     n_tuples = comb(n + h - 1, h)
-    if n_tuples > _MAX_TUPLES:
-        raise BudgetExceededError(
-            f"{n_tuples} nondecreasing tuples exceed the enumeration budget"
-        )
-    by_sum: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for tup in combinations_with_replacement(range(1, n + 1), h):
-        by_sum[sum(tup)].append(tup)
-    work = sum(comb(len(v), g + 1) for v in by_sum.values())
-    if work > _MAX_COMBOS:
-        raise BudgetExceededError(
-            f"{work} candidate tuple systems exceed the enumeration budget"
-        )
-    total = 0
-    for tuples in by_sum.values():
-        if len(tuples) < g + 1:
-            continue
-        # combinations of a lex-sorted list are lexicographically increasing
-        for combo in combinations(tuples, g + 1):
-            symbols = set()
-            for tup in combo:
-                symbols.update(tup)
-            if len(symbols) == l:
-                total += 1
-    return total
+    check_budget(8 * (2 * h + 3) * n_tuples, f"{n_tuples} nondecreasing {h}-tuples")
+    sizes = representation_counts(np.arange(1, n + 1), h)
+    work = sum(comb(c, g + 1) for c in sizes.tolist())
+    check_budget(8 * (2 * h + 3) * n_tuples + 4 * (g + 1) * (g + 4 + 2 * h)
+                 * min(_COUNT_BLOCK + int(sizes.max()), work), f"blocks of {g + 1}-subsets")
+    check_budget(16 * work, f"the {work} candidate tuple systems")
+    # nondecreasing tuples of [0, n) in lex order, stably sorted by sum
+    members = np.arange(n)[:, None]
+    for _ in range(h - 1):
+        rows, last = _extend(members[:, -1], n - members[:, -1])
+        members = np.column_stack((members[rows], last))
+    members = members[np.argsort(members.sum(axis=1), kind="stable")].astype(np.min_scalar_type(n))
+    ends = np.cumsum(sizes)[members.sum(axis=1) + h]  # one past each tuple's group
+    # rows of increasing positions in a group, extended a column at a time by
+    # each that leaves room for the rest, in blocks adding _COUNT_BLOCK rows
+    total, pending, piece = 0, [], np.arange(n_tuples)[:, None]
+    while True:
+        if room := g + 1 - piece.shape[1]:
+            width = np.maximum(ends[piece[:, -1]] - piece[:, -1] - room, 0)
+            cuts = np.flatnonzero(np.diff(np.cumsum(width) // _COUNT_BLOCK)) + 1
+            pending.extend(zip(np.split(piece, cuts), np.split(width, cuts)))
+        else:
+            symbols = np.sort(members[piece].reshape(len(piece), h * (g + 1)), axis=1)
+            total += int(np.count_nonzero(np.count_nonzero(np.diff(symbols), axis=1) == l - 1))
+        if not pending:
+            return total
+        piece, width = pending.pop()
+        rows, last = _extend(piece[:, -1] + 1, width)
+        piece = np.column_stack((piece[rows], last))
 
 
 def sidon_threshold_k(n: int, h: int, g: int) -> float:
@@ -190,20 +194,16 @@ def _max_multiplicity(elements, h: int) -> int:
         raise ValueError("h must be at least 2")
     els = _as_element_array(elements)
     k = len(els)
-    if k == 0:
-        return 0
     n_tuples = comb(k + h - 1, h)
-    if n_tuples > h * int(els[-1]) + 1:
+    if not k or n_tuples > h * int(els[-1]) + 1:
         return int(representation_counts(els, h).max())
     # live at once: about five int64 arrays of one entry per tuple
     check_budget(40 * n_tuples, f"{n_tuples} tuple sums")
     # extend each nondecreasing index tuple by every index at or above its last
     sums, last = els, np.arange(k)
     for _ in range(h - 1):
-        width = k - last
-        step = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-        last = np.repeat(last, width) + step
-        sums = np.repeat(sums, width) + els[last]
+        rows, last = _extend(last, k - last)
+        sums = sums[rows] + els[last]
     return int(np.unique(sums, return_counts=True)[1].max())
 
 

@@ -6,10 +6,11 @@ cover sets are built by value insertion, and the Sidon predicates read the
 counts that the package's trials compute.  The pairs that make up a union
 are enumerated from its determining maps, the count behind
 ``unionfree.union_obstacle_count``.  The one-shot waiting time holds all its
-Gamma draws at once."""
+Gamma draws at once.  The equal-sum census tests every combination of each
+sum's tuples, and at (h, g) = (2, 1) also has closed forms."""
 
 from collections import Counter, defaultdict
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial
 
 import numpy as np
@@ -313,6 +314,28 @@ def pair_representation_counts(elements):
         block = els[a : a + sidon._PAIR_BLOCK]
         ordered += np.bincount((block[:, None] + els[None, :]).ravel(), minlength=top + 1)
     return (ordered + np.bincount(2 * els, minlength=top + 1)) // 2
+
+
+def count_equal_sum_tuples(n, h, g, l):
+    """``sidon.count_equal_sum_tuples`` by grouping the nondecreasing h-tuples
+    of [n] by sum and testing every (g+1)-combination of each group."""
+    by_sum = defaultdict(list)
+    for tup in combinations_with_replacement(range(1, n + 1), h):
+        by_sum[sum(tup)].append(tup)
+    return sum(len(set().union(*combo)) == l
+               for tuples in by_sum.values() for combo in combinations(tuples, g + 1))
+
+
+def equal_sum_pairs_closed_form(n, l):
+    """``sidon.count_equal_sum_tuples(n, 2, 1, l)`` for l in {3, 4} in closed
+    form.  l = 3: the systems a + b = 2c with a < c < b, floor((n-1)^2 / 4) of
+    them.  l = 4: any two of the q(s) pairs a < b of [n] that sum to s, over
+    every s, where q(s) = max(0, ceil(s/2) - max(1, s - n))."""
+    if l == 3:
+        return (n - 1) ** 2 // 4
+    if l != 4:
+        raise ValueError("closed forms for l = 3 and l = 4 only")
+    return sum(comb(max(0, -(-s // 2) - max(1, s - n)), 2) for s in range(3, 2 * n))
 
 
 def is_bh_g(elements, h: int, g: int) -> bool:

@@ -531,6 +531,11 @@ _GOLDEN = [
      "1aaf3b17b1b1f776c5cbc6a7b9e0775b0401966630e17ed61a83a62db6892a94"),
     ("verify --format json",
      "e776a1004ff368ed631cd62e435b1aacc806523cef32bbadedd2460590edf799"),
+    # the census at h = 3 and at g = 2
+    ("sidon enum-bhg --n 40 --h 3 --g 1 --l 5",
+     "40b6ac409064957d163c06edc6188ce51a2e61d3be942fa423c8c3910acb3c2f"),
+    ("sidon enum-bhg --n 60 --h 2 --g 2 --l 5",
+     "fcc6852bc1ae53e1b4304fab7e9b9d80a7ac15abae8ea03b22ca7fed227335b4"),
 ]
 
 

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import is_bh_g, is_truncated_basis
 from threshold_lab import sidon
-from threshold_lab.errors import BudgetExceededError
+from threshold_lab.errors import MAX_ARRAY_BYTES, BudgetExceededError
 from threshold_lab.rng import bernoulli_ranks, derive_stream
 from threshold_lab.sidon import (
     _as_element_array,
@@ -190,6 +190,32 @@ def test_tuple_systems_small_exact():
     for n in (4, 6, 9):
         for l in (2, 3, 4):
             assert count_equal_sum_tuples(n, 2, 1, l) == _tuple_systems_bruteforce(n, l)
+    # every l, with n = 1 and 2 (no subset at all) among the sizes
+    for h, g in product((2, 3, 4), (1, 2, 3)):
+        for n in (1, 2, 3, 5, 7) if h < 4 else (1, 2, 3, 5):
+            for l in range(h * (g + 1) + 2):
+                got = count_equal_sum_tuples(n, h, g, l)
+                assert got == oracles.count_equal_sum_tuples(n, h, g, l), (n, h, g, l)
+
+
+@pytest.mark.parametrize("n, h, g", [(24, 2, 11), (26, 2, 11), (30, 2, 13), (9, 3, 7)])
+def test_tuple_systems_with_g_near_the_largest_group(n, h, g):
+    # (g+1)-subsets of the one or two largest sum groups: the deepest blocks
+    for l in range(g + 1, h * (g + 1) + 1):
+        assert count_equal_sum_tuples(n, h, g, l) == oracles.count_equal_sum_tuples(n, h, g, l)
+
+
+def test_pair_census_closed_forms_match_the_oracle():
+    for n in (1, 2, 3, 10, 20, 40, 80):
+        for l in (3, 4):
+            assert oracles.equal_sum_pairs_closed_form(n, l) == oracles.count_equal_sum_tuples(
+                n, 2, 1, l), (n, l)
+
+
+@pytest.mark.parametrize("n", [80, 160, 300])
+def test_pair_census_matches_closed_forms(n):
+    for l in (3, 4):
+        assert count_equal_sum_tuples(n, 2, 1, l) == oracles.equal_sum_pairs_closed_form(n, l)
 
 
 def test_tuple_systems_overdetermined():
@@ -209,6 +235,53 @@ def test_tuple_systems_budget():
         count_equal_sum_tuples(4000, 2, 1, 3)
     with pytest.raises(BudgetExceededError):
         count_equal_sum_tuples(240, 2, 2, 6)
+
+
+@pytest.mark.parametrize("n, h, g, l", [(4000, 2, 1, 3), (9000, 2, 1, 3), (240, 2, 2, 6)])
+def test_tuple_systems_refused_before_the_tuples_exist(n, h, g, l):
+    # the peak is at most the group-size table (7.6 MiB at n = 4000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="memory budget"):
+            count_equal_sum_tuples(n, h, g, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("n, h, g, l", [(120, 2, 2, 6), (40, 3, 1, 5)])
+def test_tuple_systems_trace_less_than_they_charge(monkeypatch, n, h, g, l):
+    checked = {}
+    monkeypatch.setattr(sidon, "check_budget",
+                        lambda nbytes, what: checked.setdefault(what, nbytes))
+    tracemalloc.start()
+    try:
+        count_equal_sum_tuples(n, h, g, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= checked[f"blocks of {g + 1}-subsets"]
+
+
+def test_tuple_systems_admit_what_the_count_caps_did(monkeypatch):
+    # at (h, g) = (2, 1) the retired caps (2*10^6 tuples, 3*10^7 subsets) took
+    # n up to 711, with 29888870 subsets; its charges all fit, so the census runs
+    class Priced(Exception):
+        pass
+
+    checked = []
+
+    def record(nbytes, what):
+        checked.append(nbytes)
+        if "candidate" in what:
+            raise Priced  # priced in full; the census itself takes seconds
+
+    monkeypatch.setattr(sidon, "check_budget", record)
+    with pytest.raises(Priced):
+        count_equal_sum_tuples(711, 2, 1, 4)
+    assert checked[-1] == 16 * 29888870
+    assert max(checked) <= MAX_ARRAY_BYTES
 
 
 def test_max_symbol_growth_exponent():
