@@ -75,7 +75,7 @@ def locate_transition():
         return partial(deficiency_trial, params=params, p=p)
 
     scan = threshold_bisect(make_trial, 0.02, 0.30, trials_per_eval=300,
-                            tol=2e-3, seed=SEED, increasing=True)
+                            tol=2e-3, seed=SEED)
     predicted = covering_threshold_p(params, 0.0)
     print(f"  bisected p_half = {scan.p_half:.4f} after {len(scan.rows)} probes")
     print(f"  curve value at r=0: {predicted:.4f} "

@@ -71,7 +71,7 @@ def locate_transition():
         return partial(union_collision_trial, n=n, p=p)
 
     scan = threshold_bisect(make_trial, 1e-4, 1e-2, trials_per_eval=300,
-                            tol=2.5e-4, seed=SEED, increasing=False)
+                            tol=2.5e-4, seed=SEED)
     base = wuf_threshold_p(n)
     print(f"  p_half = {scan.p_half:.2e} after {len(scan.rows)} probes; "
           f"{scan.p_half / base:.2f}x the threshold scale")

@@ -11,6 +11,7 @@ growth-rate regression.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -155,18 +156,17 @@ def gumbel_sup_distance(samples: Sequence[float]) -> float:
     return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = _Z95
-) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval; well behaved for estimates at 0 or 1."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 <= successes <= trials:
         raise ValueError("need 0 <= successes <= trials")
     phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
+    z2 = _Z95 * _Z95
+    denom = 1.0 + z2 / trials
+    center = (phat + z2 / (2 * trials)) / denom
+    half = (_Z95 / denom) * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials))
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
@@ -228,7 +228,7 @@ def map_trials(
     any worker count.  The calling process runs the trials in order.  With
     ``workers > 1`` it prices the trials left at the time per trial since
     trial 0 (whose time includes any table build); once what a pool of
-    ``w = min(workers, rest)`` processes would save, ``rest * (1 - 1/w)``,
+    ``w = min(workers, rest, usable CPUs)`` processes would save, ``rest * (1 - 1/w)``,
     exceeds ``_POOL_START_S``, the rest runs in contiguous index ranges on a
     pool of ``w`` processes, shut down before this returns.  The pool forks
     after trial 0, so its workers inherit the tables that trial built; the
@@ -245,7 +245,7 @@ def map_trials(
         if workers > 1 and i >= 2 and (
                 measured := time.perf_counter() - since) > _POOL_START_S / 10:
             rest = trials - i
-            w = min(workers, rest)
+            w = min(workers, rest, len(os.sched_getaffinity(0)))
             if rest * measured / (i - 1) * (1 - 1 / w) > _POOL_START_S:
                 return results + _run_pooled(trial_fn, seed, range(i, trials), w)
         results.append(trial_fn(stream := derive_stream(seed, i, stream)))
@@ -284,17 +284,16 @@ def threshold_bisect(
     trials_per_eval: int,
     tol: float,
     seed: int,
-    increasing: bool,
     workers: int = 1,
 ) -> ThresholdScan:
     """Locate the parameter where a monotone property crosses ``target``.
 
     ``make_trial(param)`` yields the trial function at one parameter value,
-    scored as in ``run_trials``; ``increasing`` declares whether the success
-    probability rises with the parameter.  Endpoints must straddle the
-    target beyond their Wilson intervals or a BracketError is raised.  Every
-    probe gets a fresh sub-seed derived from ``(seed, probe_index)`` and runs
-    as ``run_trials`` does, so with ``workers > 1`` a probe that opens a pool
+    scored as in ``run_trials``, whose success probability may rise or fall
+    with it: the endpoints must straddle the target beyond their Wilson
+    intervals, either way round, or a BracketError is raised.  Every probe
+    gets a fresh sub-seed derived from ``(seed, probe_index)`` and runs as
+    ``run_trials`` does, so with ``workers > 1`` a probe that opens a pool
     (see ``map_trials``) has it shut down before the next probe starts.
     """
     if not p_lo < p_hi:
@@ -311,11 +310,9 @@ def threshold_bisect(
         scan.rows.append((param, summary))
         return summary
 
-    s_lo = evaluate(p_lo)
-    s_hi = evaluate(p_hi)
-    lo_ok = s_lo.ci_high < target if increasing else s_lo.ci_low > target
-    hi_ok = s_hi.ci_low > target if increasing else s_hi.ci_high < target
-    if not (lo_ok and hi_ok):
+    s_lo, s_hi = evaluate(p_lo), evaluate(p_hi)
+    rising = s_lo.ci_high < target < s_hi.ci_low
+    if not (rising or s_lo.ci_low > target > s_hi.ci_high):
         raise BracketError(
             f"endpoint estimates do not straddle target={target}: "
             f"P({p_lo:g})={s_lo.estimate:.3f} "
@@ -329,7 +326,7 @@ def threshold_bisect(
         mid = 0.5 * (lo + hi)
         est = evaluate(mid).estimate
         below = est < target
-        if below == increasing:
+        if below == rising:
             lo = mid
         else:
             hi = mid

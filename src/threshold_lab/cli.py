@@ -8,25 +8,17 @@ deliberately omitted since it never affects the output bytes.
 Each command is one entry of ``_EXPERIMENTS``: its help, flags and kind, and
 a function that checks the flags against each other and returns the header
 parameters plus the work: ``(columns, trial)`` for fixed trials,
-``(make_trial, increasing)`` for a bisection, ``(columns, rows)`` for an
-exhaustive table.  A model module is imported by the experiments that use it.
+``make_trial`` for a bisection, ``(columns, rows)`` for an exhaustive table.
+A model module is imported by the experiments that use it.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-
-# before numpy loads: no command calls BLAS, and an idle OpenBLAS thread spins
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-# nor hashes anything, yet numpy.random imports secrets, hmac and _hashlib, which
-# maps OpenSSL's libcrypto; hashlib and hmac fall back to their builtin digests
-# (all but scrypt), and a process that has already loaded _hashlib keeps it
-sys.modules.setdefault("_hashlib", None)
-
 import argparse
 import gc
 import math
+import os
+import sys
 import tempfile
 from functools import partial
 from typing import Callable, NamedTuple, NoReturn
@@ -103,29 +95,42 @@ def _balls(args):
     return params, ["trial", "X"], trial
 
 
-def _design(args):
+def _design_trial(args, cover: bool):
+    """The design's sizes, and p -> its deficiency (``cover``) or overfull trial."""
     from . import designs
     dp = designs.DesignParams(args.n, args.k, args.t, args.lam)
+    trial = designs.deficiency_trial if cover else designs.overfull_trial
+    return dp, lambda p: partial(trial, params=dp, p=p)
+
+
+def _design(args):
+    from . import designs
+    dp, make_trial = _design_trial(args, args.mode == "cover")
     if (args.p is None) == (args.r is None):
         raise ValueError("give exactly one of --p or --r")
     if args.mode == "pack" and args.p is None:
         raise ValueError("pack mode needs an explicit --p")
     p = designs.covering_threshold_p(dp, args.r) if args.p is None else args.p
-    trial = designs.deficiency_trial if args.mode == "cover" else designs.overfull_trial
     params = {"n": args.n, "k": args.k, "t": args.t, "lambda": args.lam,
               "mode": args.mode, "p": p, "trials": args.trials}
     if args.r is not None:
         params["r"] = args.r
-    return params, _COUNT_COLUMNS, partial(trial, params=dp, p=p)
+    return params, _COUNT_COLUMNS, make_trial(p)
+
+
+def _sidon_trial(args):
+    """k -> the bounded-multiplicity trial at membership probability k/n."""
+    from . import sidon
+    return lambda k: partial(sidon.bh_g_trial, n=args.n, h=args.h, g=args.g, p=k / args.n)
 
 
 def _sidon_check(args):
-    from . import sidon
-    p = args.k / args.n
+    trial = _sidon_trial(args)(args.k)
+    p = trial.keywords["p"]
     if not 0.0 <= p <= 1.0:
         raise ValueError("--k must lie in [0, n]")
     params = {"n": args.n, "h": args.h, "g": args.g, "k": args.k, "p": p, "trials": args.trials}
-    return params, _REP_COLUMNS, partial(sidon.bh_g_trial, n=args.n, h=args.h, g=args.g, p=p)
+    return params, _REP_COLUMNS, trial
 
 
 def _sidon_basis(args):
@@ -147,12 +152,9 @@ def _sidon_enum(args):
 
 def _sidon_scan(args):
     """Bisect over the cardinality scale k; membership probability k/n."""
-    from . import sidon
     if not 0 <= args.lo < args.hi <= args.n:
         raise ValueError("need 0 <= --lo < --hi <= n")
-    params = {"n": args.n, "h": args.h, "g": args.g}
-    return params, lambda k: partial(sidon.bh_g_trial, n=args.n, h=args.h, g=args.g,
-                                     p=k / args.n), False
+    return {"n": args.n, "h": args.h, "g": args.g}, _sidon_trial(args)
 
 
 def _checks(max_n: int, max_n_cover: int):
@@ -204,15 +206,11 @@ def _scan(args):
         raise ValueError("need 0 <= --lo < --hi <= 1")
     params = {"experiment": args.experiment, "n": args.n}
     if args.experiment == "unionfree":
-        return params, _union_trial(args.n), False
+        return params, _union_trial(args.n)
     if args.k is None or args.t is None:
         raise ValueError("design scans need --k and --t")
-    from . import designs
-    dp = designs.DesignParams(args.n, args.k, args.t, args.lam)
     params.update({"k": args.k, "t": args.t, "lambda": args.lam})
-    cover = args.experiment == "design-cover"
-    trial = designs.deficiency_trial if cover else designs.overfull_trial
-    return params, lambda p: partial(trial, params=dp, p=p), cover
+    return params, _design_trial(args, args.experiment == "design-cover")[1]
 
 
 class _Experiment(NamedTuple):
@@ -286,8 +284,7 @@ _EXPERIMENTS = {
         "--experiment": {"choices": ("design-cover", "design-pack", "unionfree"),
                          "required": True},
         "--n": _req(int), "--k": {"type": int, "default": None},
-        "--t": {"type": int, "default": None},
-        "--lambda": {"dest": "lam", "type": int, "default": 1},
+        "--t": {"type": int, "default": None}, **_LAMBDA,
         "--lo": _req(_probability), "--hi": _req(_probability), **_BISECT,
     }, "bisect", _scan),
     "verify": _Experiment("run the exhaustive verification suite at default budgets", {},
@@ -365,10 +362,9 @@ def _rows(args, kind: str, params: dict, work: tuple) -> tuple[list[str], list[t
         # a trial returns T or (X, holds); a row keeps as many fields as there are columns
         return columns, [((i, *r) if isinstance(r, tuple) else (i, r))[: len(columns)]
                          for i, r in enumerate(results)]
-    make_trial, increasing = work
-    scan = threshold_bisect(make_trial, args.lo, args.hi, target=args.target,
-                            trials_per_eval=args.trials_per_eval, tol=args.tol, seed=args.seed,
-                            increasing=increasing, workers=args.workers)
+    [make_trial] = work
+    scan = threshold_bisect(make_trial, args.lo, args.hi, target=args.target, workers=args.workers,
+                            trials_per_eval=args.trials_per_eval, tol=args.tol, seed=args.seed)
     params.update({"lo": args.lo, "hi": args.hi, "target": args.target, "tol": args.tol,
                    "trials_per_eval": args.trials_per_eval, "p_half": scan.p_half})
     rows = [(param, s.trials, s.successes, s.estimate, s.ci_low, s.ci_high)
@@ -406,7 +402,3 @@ def entry() -> NoReturn:
     code = main()
     gc.freeze()
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    entry()

@@ -16,7 +16,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture
 def opened(monkeypatch):
-    """The ``max_workers`` of every pool opened during the test."""
+    """The ``max_workers`` of every pool opened during the test, in a process
+    that may use two CPUs, so a 2-wide pool is as wide on any box."""
     opened = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -26,4 +27,5 @@ def opened(monkeypatch):
 
     # analysis imports the pool class from concurrent.futures when it opens one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     return opened

@@ -356,7 +356,6 @@ def test_c16_union_free_transition():
         trials_per_eval=500,
         tol=2.5e-4,
         seed=69003,
-        increasing=False,
     )
     factor = scan.p_half / wuf_threshold_p(12)
     ok = low.estimate >= 0.9 and high.estimate <= 0.1 and 1 / 3 <= factor <= 3

@@ -1,6 +1,8 @@
+import concurrent.futures
 import itertools
 import math
 import multiprocessing
+import os
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -158,7 +160,7 @@ def _no_probe(param):
 @pytest.mark.parametrize("bad", [{"tol": math.nan}, {"target": math.nan}, {"target": 0.0},
                                  {"target": 1.0}, {"target": 1.5}], ids=str)
 def test_bisect_refuses_nan_tol_and_target_off_the_open_unit_interval(bad):
-    kwargs = {"trials_per_eval": 20, "tol": 1e-2, "seed": 0, "increasing": False, **bad}
+    kwargs = {"trials_per_eval": 20, "tol": 1e-2, "seed": 0, **bad}
     with pytest.raises(ValueError):
         threshold_bisect(_no_probe, 0.0, 1.0, **kwargs)
 
@@ -214,6 +216,7 @@ def _index_draw(stream):
     "trials,workers", [(1, 2), (2, 2), (7, 2), (9, 3), (64, 2), (3, 2), (4, 3), (5, 4)])
 def test_map_trials_worker_invariance(monkeypatch, opened, trials, workers):
     # results come back in trial order however the indices are split into chunks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
     expected = [_index_draw(derive_stream(5, i)) for i in range(trials)]
     assert map_trials(_index_draw, trials, seed=5, workers=1) == expected
     assert map_trials(_index_draw, trials, seed=5, workers=workers) == expected
@@ -224,6 +227,30 @@ def test_map_trials_worker_invariance(monkeypatch, opened, trials, workers):
     assert opened == ([min(workers, trials - 2)] if trials > 3 else [])
 
 
+def test_pool_is_never_wider_than_the_usable_cpus(monkeypatch):
+    # a stand-in pool records its width and maps inline, so nothing forks
+    widths = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(analysis, "_POOL_START_S", 0.0)
+    assert map_trials(_index_draw, 400, 7, workers=64) == map_trials(_index_draw, 400, 7)
+    assert widths == [2]
+
+
 def test_cheap_trials_open_no_pool(monkeypatch, opened):
     # a clock that moves 5 us a reading, one reading a trial, so a stalled
     # trial cannot make the rest look worth a pool
@@ -232,7 +259,7 @@ def test_cheap_trials_open_no_pool(monkeypatch, opened):
     assert map_trials(_index_draw, 2000, seed=5, workers=2) == map_trials(
         _index_draw, 2000, seed=5, workers=1)
     args = (lambda p: partial(_biased_coin, p=p), 0.0, 1.0)
-    kwargs = dict(trials_per_eval=400, tol=0.05, seed=3, increasing=True)
+    kwargs = dict(trials_per_eval=400, tol=0.05, seed=3)
     assert threshold_bisect(*args, workers=2, **kwargs).rows == threshold_bisect(
         *args, workers=1, **kwargs).rows
     assert opened == []
@@ -277,19 +304,21 @@ def test_forked_workers_inherit_the_parents_tables(monkeypatch, opened):
     assert opened == [2]
 
 
-def _step_trial(stream, param, knee):
-    return param <= knee
+def _step_trial(stream, param, knee, rising=False):
+    # true above the knee when rising, else true up to it
+    return (param > knee) == rising
 
 
-def test_bisect_deterministic_step():
+@pytest.mark.parametrize("rising", [True, False], ids=["rising", "falling"])
+def test_bisect_deterministic_step(rising):
+    # the direction is read from the endpoint probes, not declared
     scan = threshold_bisect(
-        lambda p: partial(_step_trial, param=p, knee=0.3),
+        lambda p: partial(_step_trial, param=p, knee=0.3, rising=rising),
         0.0,
         1.0,
         trials_per_eval=20,
         tol=1e-3,
         seed=0,
-        increasing=False,
     )
     assert 0.299 <= scan.p_half <= 0.301
     params = [row[0] for row in scan.rows]
@@ -310,7 +339,6 @@ def test_bisect_lands_inside_target_band():
         trials_per_eval=800,
         tol=0.02,
         seed=7,
-        increasing=True,
     )
     check = run_trials(partial(_biased_coin, p=scan.p_half), 2000, seed=99)
     assert check.ci_low <= 0.5 <= check.ci_high
@@ -325,15 +353,24 @@ def test_bisect_bracket_violation():
             trials_per_eval=20,
             tol=1e-2,
             seed=0,
-            increasing=False,
         )
+
+
+def test_bisect_refuses_an_endpoint_whose_interval_covers_the_target():
+    # a fair coin at the low end is on neither side of 0.5, so neither
+    # direction holds, though the high end lies clearly below
+    low = run_trials(_fair_coin, 400, analysis._probe_seed(0, 0))
+    assert low.ci_low < 0.5 < low.ci_high
+    with pytest.raises(BracketError):
+        threshold_bisect(lambda p: _fair_coin if p == 0.0 else _always_false, 0.0, 1.0,
+                         trials_per_eval=400, tol=1e-2, seed=0)
 
 
 def test_bisect_opens_and_shuts_a_pool_per_probe(monkeypatch, opened):
     # cheap probes open no pool, so a free pool stands in for costly ones
     monkeypatch.setattr(analysis, "_POOL_START_S", 0.0)
     args = (lambda p: partial(_biased_coin, p=p), 0.0, 1.0)
-    kwargs = dict(trials_per_eval=40, tol=0.05, seed=3, increasing=True)
+    kwargs = dict(trials_per_eval=40, tol=0.05, seed=3)
     pooled = threshold_bisect(*args, workers=2, **kwargs)
     assert len(pooled.rows) > 3
     assert opened == [2] * len(pooled.rows)
@@ -353,7 +390,6 @@ def test_bisect_bracket_violation_shuts_pool_down(monkeypatch, opened):
             trials_per_eval=20,
             tol=1e-2,
             seed=0,
-            increasing=False,
             workers=2,
         )
     assert opened == [2, 2]  # one pool for each endpoint probe

@@ -465,6 +465,20 @@ def test_entry_points_map_no_openssl(tmp_path, entry):
         "False", "True", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"]
 
 
+def test_importing_the_cli_changes_no_process_state():
+    # the entry points set both before numpy loads; a module that imports
+    # the CLI keeps its environment and OpenSSL's digests
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    _python("-c", """
+import os, sys, types
+import threshold_lab.cli
+import hashlib
+assert "OPENBLAS_NUM_THREADS" not in os.environ
+assert isinstance(sys.modules["_hashlib"], types.ModuleType)
+assert hasattr(hashlib, "scrypt")
+""", env=env)
+
+
 def test_an_in_process_run_keeps_a_loaded_hashlib(tmp_path):
     argv = [*_BALLS.split(), "--out", str(tmp_path / "out.csv")]
     _python("-c", f"""

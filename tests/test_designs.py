@@ -299,7 +299,6 @@ def test_bisected_transition_near_threshold_curve():
         trials_per_eval=300,
         tol=2e-3,
         seed=90001,
-        increasing=True,
     )
     predicted = covering_threshold_p(params, 0.0)
     assert predicted / 1.5 <= scan.p_half <= predicted * 1.5
