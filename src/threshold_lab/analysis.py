@@ -1,11 +1,11 @@
 """Shared numerical and statistical machinery.
 
 The coverage core of the designs, perms and balls models (a bincount of the
-selected table rows, then the targets covered at most lam - 1 or at least
-lam + 1 times), exact binomial tail sums, Poisson goodness-of-fit in total
-variation, Gumbel empirical-CDF distance, Monte Carlo aggregation with
-Wilson intervals, stochastic bisection for transition location, and log-log
-growth-rate regression.
+rows of the selected objects, then the targets covered at most lam - 1 or
+at least lam + 1 times), exact binomial tail sums, Poisson goodness-of-fit
+in total variation, Gumbel empirical-CDF distance, Monte Carlo aggregation
+with Wilson intervals, stochastic bisection for transition location, and
+log-log growth-rate regression.
 """
 
 from __future__ import annotations
@@ -54,16 +54,18 @@ _COUNT_BLOCK = 1 << 16
 
 
 def selected_row_counts(
-    table: np.ndarray, n_bins: int, p: float, stream: np.random.Generator
+    rows: Callable[[np.ndarray], np.ndarray], universe: int, width: int, n_bins: int,
+    p: float, stream: np.random.Generator,
 ) -> np.ndarray:
-    """Occurrences of each value in [n_bins] over the rows of ``table`` that
-    ``bernoulli_ranks`` keeps with probability p, gathered and counted
-    ``_COUNT_BLOCK`` entries at a time, as bincount copies its input to intp."""
-    ranks = bernoulli_ranks(len(table), p, stream)
-    step = max(1, _COUNT_BLOCK // table.shape[1])
-    counts = np.bincount(table[ranks[:step]].ravel(), minlength=n_bins)
+    """Occurrences of each value in [n_bins] over ``rows(ranks)``, the
+    ``width`` values of each rank in [universe] that ``bernoulli_ranks`` keeps
+    with probability p, made and counted ``_COUNT_BLOCK`` values at a time,
+    as bincount copies its input to intp."""
+    ranks = bernoulli_ranks(universe, p, stream)
+    step = max(1, _COUNT_BLOCK // width)
+    counts = np.bincount(rows(ranks[:step]).ravel(), minlength=n_bins)
     for a in range(step, len(ranks), step):
-        counts += np.bincount(table[ranks[a : a + step]].ravel(), minlength=n_bins)
+        counts += np.bincount(rows(ranks[a : a + step]).ravel(), minlength=n_bins)
     return counts
 
 

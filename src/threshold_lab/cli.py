@@ -206,9 +206,13 @@ def _scan(args):
         raise ValueError("need 0 <= --lo < --hi <= 1")
     params = {"experiment": args.experiment, "n": args.n}
     if args.experiment == "unionfree":
+        for flag, value in (("--k", args.k), ("--t", args.t), ("--lambda", args.lam)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to design scans only")
         return params, _union_trial(args.n)
     if args.k is None or args.t is None:
         raise ValueError("design scans need --k and --t")
+    args.lam = 1 if args.lam is None else args.lam
     params.update({"k": args.k, "t": args.t, "lambda": args.lam})
     return params, _design_trial(args, args.experiment == "design-cover")[1]
 
@@ -284,7 +288,8 @@ _EXPERIMENTS = {
         "--experiment": {"choices": ("design-cover", "design-pack", "unionfree"),
                          "required": True},
         "--n": _req(int), "--k": {"type": int, "default": None},
-        "--t": {"type": int, "default": None}, **_LAMBDA,
+        "--t": {"type": int, "default": None},
+        "--lambda": {**_LAMBDA["--lambda"], "default": None},
         "--lo": _req(_probability), "--hi": _req(_probability), **_BISECT,
     }, "bisect", _scan),
     "verify": _Experiment("run the exhaustive verification suite at default budgets", {},

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations
 from math import comb
 
@@ -138,7 +138,8 @@ def _profile_from_selection(
 ) -> np.ndarray:
     """Per-t-subset coverage counts of one Bernoulli(p) family, by colex rank."""
     incidence = _coverage_incidence(params.n, params.k, params.t)
-    return selected_row_counts(incidence, params.n_tsets, p, stream)
+    return selected_row_counts(partial(np.take, incidence, axis=0), len(incidence),
+                               incidence.shape[1], params.n_tsets, p, stream)
 
 
 def deficiency_trial(

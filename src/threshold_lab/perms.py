@@ -1,21 +1,26 @@
 """Order-isomorphic pattern containment between adjacent permutation sizes.
 
 A permutation rho of [n+1] covers pi of [n] when deleting one entry of rho
-and flattening the rest onto [n] yields pi.  ``pattern_rank_table`` holds
-that relation for all of S_{n+1} at once, as lex ranks; the Monte Carlo
-covering and packing trials and the exact checks of the two lemmas (n^2 + 1
-covers per pattern, at most 4 shared by two patterns) all read it.
+and flattening the rest onto [n] yields pi.  Row f * n! + s of S_{n+1} in
+lex order is f followed by row s of S_n lifted, so its deletions' lex ranks
+follow from f and those of row s: ``_pattern_rows`` derives the rows of any
+ranks from the cached level of S_n (its permutations and their deletion
+ranks).  The Monte Carlo covering and packing trials and the exact cover
+counts derive only the rows they count; ``pattern_rank_table`` holds every
+row of S_{n+1} for the exact check of the joint bound (at most 4 covers
+shared by two patterns).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 import numpy as np
 
-from .analysis import clamp_probability, deficiency_count, overfull_count, selected_row_counts
+from .analysis import (_COUNT_BLOCK, clamp_probability, deficiency_count, overfull_count,
+                       selected_row_counts)
 from .errors import check_budget
 
 __all__ = [
@@ -64,44 +69,48 @@ def packing_threshold_bounds(n: int, lam: int) -> tuple[float, float]:
 @lru_cache(maxsize=2)
 def pattern_rank_table(n: int) -> np.ndarray:
     """For every permutation of [n+1] (by lex rank), the lex ranks of the
-    patterns of [n] left by deleting each entry in turn, in the smallest
-    unsigned dtype that holds n!: uint8 through n = 5, uint16 through n = 8
-    and uint32 at n = 9.
-
-    Row padding: a deletion equal to the one left of it is replaced by the
-    sentinel n!, so a bincount over table rows with n! + 1 bins counts each
-    covered pattern once per covering permutation.  Equal deletions of a row
-    are always adjacent runs, so this keeps exactly one of each.
-    """
+    patterns of [n] left by deleting each entry in turn, as ``_pattern_rows``
+    gives them, in the smallest unsigned dtype that holds n!: uint8 through
+    n = 5, uint16 through n = 8 and uint32 at n = 9."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rows, dtype = factorial(n + 1), np.min_scalar_type(factorial(n))
-    # tracemalloc peaks at the table plus under a byte a cell: 2.6 B/cell at
-    # n = 8 in uint16, 4.8 at n = 9 in uint32
-    check_budget((dtype.itemsize + 1) * rows * (n + 1), f"pattern tables of {rows} x {n + 1} ranks")
-    # the lex permutations of {0, ..., m-1} as uint8 rows, and their deletion
-    # ranks, grown from m = 1 to n
-    values = np.zeros((1, 1), dtype=np.uint8)
-    table = np.zeros((1, 1), dtype=np.uint8)
-    for m in range(1, n + 1):
-        table = _grow_deletion_ranks(values, table)
-        if m < n:
-            # block f of S_{m+1}: f, then S_m with its values >= f lifted
-            lifted = np.empty((m + 1, len(values), m + 1), dtype=np.uint8)
-            for f, block in enumerate(lifted):
-                block[:, 0] = f
-                np.add(values, values >= f, out=block[:, 1:])
-            values = lifted.reshape(-1, m + 1)
-    # each deletion against the one left of it, a block of rows at a time so
-    # that the comparison's temporary stays small
-    for block in table.reshape(n + 1, -1, n + 1):
-        block[:, 1:][block[:, 1:] == block[:, :-1]] = factorial(n)
+    # tracemalloc peaks at the table, the level (under half a byte a cell)
+    # and one block's temporaries (under 16 bytes a block entry): 2.5 B/cell
+    # at n = 8 in uint16, 4.3 at n = 9 in uint32
+    check_budget((dtype.itemsize + 1) * rows * (n + 1) + 16 * _COUNT_BLOCK,
+                 f"pattern tables of {rows} x {n + 1} ranks")
+    table = np.empty((rows, n + 1), dtype=dtype)
+    for a, block in _row_blocks(n):
+        table[a : a + block.shape[1]] = block.T
     return table
 
 
+@lru_cache(maxsize=2)
+def _pattern_level(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lex permutations of {0, ..., n-1} as uint8 and the lex ranks of
+    their n deletions, one column per permutation: the S_n that every row of
+    S_{n+1} is derived from."""
+    size, dtype = factorial(n), np.min_scalar_type(factorial(n - 1))
+    # tracemalloc peaks at the level plus under a byte a cell: 3.3 B/cell at
+    # n = 8 and 9 in uint16 ranks
+    check_budget((2 + dtype.itemsize) * size * n, f"pattern levels of {size} x {n} ranks")
+    values = np.zeros((1, 1), dtype=np.uint8)
+    ranks = np.zeros((1, 1), dtype=np.uint8)
+    for m in range(1, n):
+        ranks = _grow_deletion_ranks(values, ranks)
+        # block f of S_{m+1}: f, then S_m with its values >= f lifted
+        lifted = np.empty((m + 1, m + 1, values.shape[1]), dtype=np.uint8)
+        for f in range(m + 1):
+            lifted[0, f] = f
+            np.add(values, values >= f, out=lifted[1:, f])
+        values = lifted.reshape(m + 1, -1)
+    return values, ranks
+
+
 def _grow_deletion_ranks(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """The deletion ranks of S_{m+1} from the lex permutations of S_m (one row
-    each) and their own deletion ranks.
+    """The deletion ranks of S_{m+1} from the lex permutations of S_m and their
+    own deletion ranks, one column per permutation.
 
     S_{m+1} in lex order is m + 1 blocks, block f being f followed by S_m with
     its values >= f lifted.  Deleting entry 0 of such a row leaves the S_m row
@@ -109,23 +118,56 @@ def _grow_deletion_ranks(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     followed by sigma's deletion i - 1, whose rank is that entry times (m-1)!
     plus sigma's deletion rank i - 1.
     """
-    size, m = values.shape
+    m, size = values.shape
     unit, dtype = size // m, np.min_scalar_type(size)
     own = np.arange(size, dtype=dtype)
-    grown = np.empty((m + 1, size, m + 1), dtype=dtype)
-    for f, block in enumerate(grown):
-        block[:, 0] = own
-        np.add(ranks, f * unit, out=block[:, 1:], dtype=dtype)
-        block[:, 1:] -= (values < f) * dtype.type(unit)
-    return grown.reshape(-1, m + 1)
+    grown = np.empty((m + 1, m + 1, size), dtype=dtype)
+    for f in range(m + 1):
+        grown[0, f] = own
+        np.add(ranks, f * unit, out=grown[1:, f], dtype=dtype)
+        grown[1:, f] -= (values < f) * dtype.type(unit)
+    return grown.reshape(m + 1, -1)
+
+
+def _pattern_rows(n: int, ranks: np.ndarray) -> np.ndarray:
+    """Rows ``ranks`` of ``pattern_rank_table(n)``, one column per rank, from
+    the level of S_n: rank f * n! + s is f followed by S_n row s lifted, whose
+    deletions ``_grow_deletion_ranks`` describes.
+
+    Padding: a deletion equal to the one left of it is replaced by the
+    sentinel n!, so a bincount over rows with n! + 1 bins counts each
+    covered pattern once per covering permutation.  Equal deletions of a row
+    are always adjacent runs, so this keeps exactly one of each.
+    """
+    values, deletions = _pattern_level(n)
+    size, unit = factorial(n), factorial(n - 1)
+    dtype = np.min_scalar_type(size)
+    first, own = np.divmod(ranks, size)
+    rows = np.empty((n + 1, len(ranks)), dtype=dtype)
+    rows[0] = own
+    np.add(np.take(deletions, own, axis=1), (first * unit).astype(dtype), out=rows[1:])
+    rows[1:] -= (np.take(values, own, axis=1) < first.astype(np.uint8)) * dtype.type(unit)
+    # n! exceeds every rank, so a maximum writes it; a masked write costs
+    # several times as much, as about a quarter of the comparisons are true
+    np.maximum(rows[1:], (rows[1:] == rows[:-1]) * dtype.type(size), out=rows[1:])
+    return rows
+
+
+def _row_blocks(n: int):
+    """(first rank, ``_pattern_rows`` of the ranks from it) over all of
+    S_{n+1}, ``_COUNT_BLOCK`` entries at a time."""
+    total, step = factorial(n + 1), _COUNT_BLOCK // (n + 1)
+    for a in range(0, total, step):
+        yield a, _pattern_rows(n, np.arange(a, min(a + step, total)))
 
 
 def _coverage_counts(
     stream: np.random.Generator, n: int, p: float
 ) -> np.ndarray:
-    """Per-pattern cover counts of one Bernoulli(p) selection, by lex rank;
-    the sentinel bin n! of the table's padding is dropped."""
-    return selected_row_counts(pattern_rank_table(n), factorial(n) + 1, p, stream)[:-1]
+    """Per-pattern cover counts of one Bernoulli(p) selection of S_{n+1}, by
+    lex rank, from the selected rows alone; the sentinel bin n! is dropped."""
+    return selected_row_counts(partial(_pattern_rows, n), factorial(n + 1), n + 1,
+                               factorial(n) + 1, p, stream)[:-1]
 
 
 def cover_trial(
@@ -146,16 +188,15 @@ def pack_trial(
 
 def verify_cover_counts(max_n: int) -> list[tuple[int, bool, int, int]]:
     """Check that every pattern has exactly n^2 + 1 covers, from a bincount
-    of the pattern table per size.
+    of every row of S_{n+1} per size, derived a block at a time.
 
     Returns one (n, ok, worst observed, expected) row per size.
     """
     rows = []
     for n in range(1, max_n + 1):
         expected = n * n + 1
-        # column by column, as bincount copies its input to int64 (290 MB for all of n = 9)
-        columns = pattern_rank_table(n).T
-        counts = sum(np.bincount(col, minlength=factorial(n) + 1) for col in columns)[:-1]
+        counts = sum(np.bincount(block.ravel(), minlength=factorial(n) + 1)
+                     for _, block in _row_blocks(n))[:-1]
         rows.append((n, bool((counts == expected).all()), int(counts.max()), expected))
     return rows
 

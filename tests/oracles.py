@@ -17,6 +17,7 @@ import numpy as np
 
 from threshold_lab import designs, perms, sidon, unionfree
 from threshold_lab.errors import BudgetExceededError
+from threshold_lab.rng import bernoulli_ranks
 
 # largest pattern size the set-based neighborhood enumerates
 _MAX_NEIGHBORHOOD_N = 6
@@ -239,6 +240,32 @@ def lehmer_pattern_rank_table(n):
     dup[:, 1:] = table[:, 1:] == table[:, :-1]
     table[dup] = factorial(n)
     return table
+
+
+def grown_pattern_rank_table(n):
+    """``perms.pattern_rank_table`` as a whole-table build: S_1 grown to
+    S_{n+1} one size at a time, one row per permutation and block f of each
+    size putting f in front of the size below with its values >= f lifted,
+    then every deletion equal to the one left of it replaced by n!."""
+    values = np.zeros((1, 1), dtype=np.int64)
+    table = np.zeros((1, 1), dtype=np.int64)
+    for m in range(1, n + 1):
+        size, unit = factorial(m), factorial(m - 1)
+        table = np.vstack([np.hstack([np.arange(size)[:, None], table + (f - (values < f)) * unit])
+                           for f in range(m + 1)])
+        if m < n:
+            values = np.vstack([np.hstack([np.full((size, 1), f), values + (values >= f)])
+                                for f in range(m + 1)])
+    table[:, 1:][table[:, 1:] == table[:, :-1]] = factorial(n)
+    return table.astype(np.min_scalar_type(factorial(n)))
+
+
+def table_coverage_counts(stream, n, p):
+    """``perms._coverage_counts`` from a gather of the whole pattern table
+    at the same selection."""
+    table = perms.pattern_rank_table(n)
+    selected = table[bernoulli_ranks(len(table), p, stream)]
+    return np.bincount(selected.ravel(), minlength=factorial(n) + 1)[:-1]
 
 
 def joint_pair_keys(n):

@@ -283,7 +283,8 @@ def test_selected_row_counts_in_blocks_match_one_bincount(monkeypatch, block):
     monkeypatch.setattr(analysis, "_COUNT_BLOCK", block)
     table = derive_stream(17, 0).integers(0, 40, size=(500, 3), dtype=np.uint16)
     for p in (0.0, 0.3, 0.9):
-        counts = selected_row_counts(table, 41, p, derive_stream(17, 1))
+        counts = selected_row_counts(partial(np.take, table, axis=0), len(table), 3, 41, p,
+                                     derive_stream(17, 1))
         ranks = bernoulli_ranks(len(table), p, derive_stream(17, 1))
         expect = np.bincount(table[ranks].ravel(), minlength=41)
         assert counts.dtype == expect.dtype and np.array_equal(counts, expect)

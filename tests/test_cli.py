@@ -300,6 +300,24 @@ def test_usage_errors_print_the_commands_usage(tmp_path, capsys, no_trials, args
     assert f"usage: threshold-lab {command} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--k 3", "--t 9", "--lambda 7", "--lambda 1"])
+def test_a_unionfree_scan_refuses_design_flags(capsys, no_trials, flag):
+    with pytest.raises(SystemExit) as err:
+        _run(f"{_SCAN} --tol 0.05 --trials-per-eval 40 {flag}".split())
+    assert err.value.code == 2
+    assert f"{flag.split()[0]} applies to design scans only" in capsys.readouterr().err
+
+
+def test_a_design_scan_defaults_to_lambda_1(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ("scan --experiment design-pack --n 8 --k 3 --t 2 --lo 0.001 --hi 0.5 --tol 0.05"
+            " --trials-per-eval 60 --seed 5 --workers 1").split()
+    assert _run(args + ["--out", str(a)]) == 0
+    assert _run(args + ["--lambda", "1", "--out", str(b)]) == 0
+    assert " lambda=1 " in a.read_text().splitlines()[0]
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_default_workers_follow_cpu_affinity(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
     args = cli.build_parser().parse_args(_CHECK.split())

@@ -180,6 +180,53 @@ def test_pattern_table_rows_match_the_lehmer_build(n):
     assert np.array_equal(np.sort(table, axis=1), np.sort(expect, axis=1))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_derived_rows_match_the_whole_table_build(n):
+    # every row of S_{n+1}, derived from the level of S_n, against S_1 grown
+    # to S_{n+1} a whole size at a time
+    expect = oracles.grown_pattern_rank_table(n)
+    rows = perms._pattern_rows(n, np.arange(factorial(n + 1)))
+    assert rows.dtype == expect.dtype and np.array_equal(rows.T, expect)
+    table = pattern_rank_table(n)
+    assert table.flags.c_contiguous and np.array_equal(table, expect)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_derived_rows_of_any_ranks_are_the_table_rows(n):
+    # unsorted, repeated ranks and an empty block, as well as sorted ones
+    ranks = derive_stream(63, n).integers(0, factorial(n + 1), size=500)
+    table = pattern_rank_table(n)
+    for block in (ranks, np.sort(ranks), ranks[:0]):
+        assert np.array_equal(perms._pattern_rows(n, block).T, table[block])
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 8])
+def test_trials_match_the_table_path(n):
+    # the trials' counts from their selected rows alone, against a gather of
+    # the whole table at the same selection: sparse, at the covering
+    # threshold, past 1/2 (the complement selection), none and all
+    for p in (0.0, 0.002, covering_threshold_p(n, 1, 0.0), 0.7, 1.0):
+        for i in range(3):
+            expect = oracles.table_coverage_counts(derive_stream(64, i), n, p)
+            assert np.array_equal(perms._coverage_counts(derive_stream(64, i), n, p), expect)
+            for lam in (1, 2):
+                x = int(np.count_nonzero(expect < lam))
+                assert cover_trial(derive_stream(64, i), n, lam, p) == (x, x == 0)
+                x = int(np.count_nonzero(expect > lam))
+                assert pack_trial(derive_stream(64, i), n, lam, p) == (x, x == 0)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_trials_never_build_the_table(monkeypatch, n):
+    def refuse(n):
+        raise AssertionError("a trial built the pattern table")
+
+    monkeypatch.setattr(perms, "pattern_rank_table", refuse)
+    p = covering_threshold_p(n, 1, 0.0)
+    assert cover_trial(derive_stream(65, 0), n, 1, p)[0] >= 0
+    assert pack_trial(derive_stream(65, 1), n, 1, p)[0] >= 0
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_equal_deletions_are_adjacent_runs(n):
     # the sentinel pass compares neighbouring columns only: deleting rho_i and
@@ -267,6 +314,8 @@ def test_pattern_table_budget(monkeypatch):
         raise LookupError(f"build started from S_{len(values)}")
 
     monkeypatch.setattr(perms, "_grow_deletion_ranks", build_started)
+    # the level of S_9 built afresh, whether or not an earlier test cached it
+    monkeypatch.setattr(perms, "_pattern_level", perms._pattern_level.__wrapped__)
     with pytest.raises(LookupError, match="build started from S_1"):
         pattern_rank_table.__wrapped__(9)
 
@@ -285,12 +334,39 @@ def test_pattern_table_build_stays_within_its_budget(monkeypatch):
     assert table.nbytes < peak <= asked[0]
 
 
+def test_pattern_level_build_stays_within_its_budget(monkeypatch):
+    # the bytes the level of S_8 asks the budget for bound its traced peak
+    asked = []
+    monkeypatch.setattr(perms, "check_budget", lambda nbytes, what: asked.append(nbytes))
+    tracemalloc.start()
+    try:
+        values, ranks = perms._pattern_level.__wrapped__(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == ranks.shape == (8, factorial(8)) and ranks.dtype == np.uint16
+    assert values.nbytes + ranks.nbytes < peak <= asked[0]
+
+
+def test_pattern_level_budget():
+    # the level of S_11 (11! x 11 ranks, about 2.5 GiB to build) is refused before any allocation
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="memory budget"):
+            perms._pattern_level(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_cover_trial_memory_on_a_cached_table():
     # one n = 8 trial at the lam = 2 threshold selects about 71k rows (637k
-    # ranks); counting them in blocks keeps the trial's intp copies small
+    # ranks); deriving and counting them in blocks keeps its temporaries
+    # small.  The trial reads the level of S_8, which is what is cached here
     n, lam = 8, 2
     p = covering_threshold_p(n, lam, 0.0)
-    pattern_rank_table(n)
+    perms._pattern_level(n)
     tracemalloc.start()
     try:
         cover_trial(derive_stream(16, 0), n, lam, p)
