@@ -217,6 +217,10 @@ def _run_pooled(trial_fn, seed: int, indices: range, workers: int) -> list:
         return [value for part in pool.map(_run_chunk, jobs) for value in part]
 
 
+def _usable_cpus() -> int:
+    return len(getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0))
+
+
 def map_trials(
     trial_fn: Callable[[np.random.Generator], object],
     trials: int,
@@ -247,7 +251,7 @@ def map_trials(
         if workers > 1 and i >= 2 and (
                 measured := time.perf_counter() - since) > _POOL_START_S / 10:
             rest = trials - i
-            w = min(workers, rest, len(os.sched_getaffinity(0)))
+            w = min(workers, rest, _usable_cpus())
             if rest * measured / (i - 1) * (1 - 1 / w) > _POOL_START_S:
                 return results + _run_pooled(trial_fn, seed, range(i, trials), w)
         results.append(trial_fn(stream := derive_stream(seed, i, stream)))

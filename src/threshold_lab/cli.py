@@ -24,7 +24,7 @@ from functools import partial
 from typing import Callable, NamedTuple, NoReturn
 
 from . import __version__
-from .analysis import map_trials, threshold_bisect
+from .analysis import _usable_cpus, map_trials, threshold_bisect
 from .errors import BracketError, BudgetExceededError
 
 def _number_in(kind: type, low: float, high: float = math.inf, *, above=False, below=False):
@@ -46,7 +46,8 @@ def _number_in(kind: type, low: float, high: float = math.inf, *, above=False, b
 
 
 _positive_int = _number_in(int, 1)
-_positive_float = _number_in(float, 0.0, above=True)
+_finite_float = _number_in(float, -math.inf, above=True, below=True)
+_positive_float = _number_in(float, 0.0, above=True, below=True)
 _probability = _number_in(float, 0.0, 1.0)
 
 
@@ -63,7 +64,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _check_common(args, parser: argparse.ArgumentParser) -> None:
     """Resolve the worker count and vet --out before any trial runs."""
     if args.workers is None:
-        args.workers = len(os.sched_getaffinity(0))
+        args.workers = _usable_cpus()
     if args.out is not None:
         if not args.out:
             parser.error("--out: empty path")
@@ -248,7 +249,7 @@ _EXPERIMENTS = {
     "design": _Experiment("k-subset families covering/packing t-subsets", {
         "--n": _req(int), "--k": _req(int), "--t": _req(int), **_LAMBDA,
         "--mode": {"choices": ("cover", "pack"), "required": True},
-        "--r": {"type": float, "default": None, "help": "offset on the covering threshold curve"},
+        "--r": {"type": _finite_float, "help": "offset on the covering threshold curve"},
         "--p": {"type": _probability, "default": None, "help": "explicit selection probability"},
         **_TRIALS,
     }, "trials", _design),
@@ -274,7 +275,7 @@ _EXPERIMENTS = {
     }, "table", lambda args: _checks(
         args.max_n, args.max_n + 1 if args.max_n_cover is None else args.max_n_cover)),
     "perm cover": _Experiment("covering transition at an offset r", {
-        **_PERM_N, **_LAMBDA, "--r": _req(float), **_TRIALS,
+        **_PERM_N, **_LAMBDA, "--r": _req(_finite_float), **_TRIALS,
     }, "trials", _perm_cover),
     "perm pack": _Experiment("packing trials at explicit p", {
         **_PERM_N, **_LAMBDA, "--p": _req(_probability), **_TRIALS,

@@ -3,12 +3,12 @@
 A permutation rho of [n+1] covers pi of [n] when deleting one entry of rho
 and flattening the rest onto [n] yields pi.  Row f * n! + s of S_{n+1} in
 lex order is f followed by row s of S_n lifted, so its deletions' lex ranks
-follow from f and those of row s: ``_pattern_rows`` derives the rows of any
-ranks from the cached level of S_n (its permutations and their deletion
-ranks).  The Monte Carlo covering and packing trials and the exact cover
-counts derive only the rows they count; ``pattern_rank_table`` holds every
-row of S_{n+1} for the exact check of the joint bound (at most 4 covers
-shared by two patterns).
+follow from f and those of row s.  ``_deletions`` applies that rule: it grows
+the cached level of S_n (its permutations and their deletion ranks) from S_1
+and derives from it ``_pattern_rows``, the rows of any ranks.  The Monte
+Carlo covering and packing trials and the exact cover counts derive only the
+rows they count; ``pattern_rank_table`` holds every row of S_{n+1} for the
+exact check of the joint bound (at most 4 covers shared by two patterns).
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def pattern_rank_table(n: int) -> np.ndarray:
     check_budget((dtype.itemsize + 1) * rows * (n + 1) + 16 * _COUNT_BLOCK,
                  f"pattern tables of {rows} x {n + 1} ranks")
     table = np.empty((rows, n + 1), dtype=dtype)
-    for a, block in _row_blocks(n):
+    for a, block in _row_blocks(n, partial(_pattern_rows, n)):
         table[a : a + block.shape[1]] = block.T
     return table
 
@@ -95,10 +95,12 @@ def _pattern_level(n: int) -> tuple[np.ndarray, np.ndarray]:
     # tracemalloc peaks at the level plus under a byte a cell: 3.3 B/cell at
     # n = 8 and 9 in uint16 ranks
     check_budget((2 + dtype.itemsize) * size * n, f"pattern levels of {size} x {n} ranks")
-    values = np.zeros((1, 1), dtype=np.uint8)
-    ranks = np.zeros((1, 1), dtype=np.uint8)
+    values = ranks = np.zeros((1, 1), dtype=np.uint8)
     for m in range(1, n):
-        ranks = _grow_deletion_ranks(values, ranks)
+        grown = np.empty((m + 1, factorial(m + 1)), dtype=np.min_scalar_type(factorial(m)))
+        for a, block in _row_blocks(m, partial(_deletions, values, ranks)):
+            grown[:, a : a + block.shape[1]] = block
+        ranks = grown
         # block f of S_{m+1}: f, then S_m with its values >= f lifted
         lifted = np.empty((m + 1, m + 1, values.shape[1]), dtype=np.uint8)
         for f in range(m + 1):
@@ -108,9 +110,9 @@ def _pattern_level(n: int) -> tuple[np.ndarray, np.ndarray]:
     return values, ranks
 
 
-def _grow_deletion_ranks(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """The deletion ranks of S_{m+1} from the lex permutations of S_m and their
-    own deletion ranks, one column per permutation.
+def _deletions(values: np.ndarray, ranks: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """The deletion ranks of rows ``selected`` of S_{m+1}, one column per row,
+    from the lex permutations of S_m and their deletion ranks, one column each.
 
     S_{m+1} in lex order is m + 1 blocks, block f being f followed by S_m with
     its values >= f lifted.  Deleting entry 0 of such a row leaves the S_m row
@@ -120,45 +122,37 @@ def _grow_deletion_ranks(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """
     m, size = values.shape
     unit, dtype = size // m, np.min_scalar_type(size)
-    own = np.arange(size, dtype=dtype)
-    grown = np.empty((m + 1, m + 1, size), dtype=dtype)
-    for f in range(m + 1):
-        grown[0, f] = own
-        np.add(ranks, f * unit, out=grown[1:, f], dtype=dtype)
-        grown[1:, f] -= (values < f) * dtype.type(unit)
-    return grown.reshape(m + 1, -1)
+    first, own = np.divmod(selected, size)
+    rows = np.empty((m + 1, len(selected)), dtype=dtype)
+    rows[0] = own
+    np.add(np.take(ranks, own, axis=1), (first * unit).astype(dtype), out=rows[1:])
+    rows[1:] -= (np.take(values, own, axis=1) < first.astype(np.uint8)) * dtype.type(unit)
+    return rows
 
 
 def _pattern_rows(n: int, ranks: np.ndarray) -> np.ndarray:
-    """Rows ``ranks`` of ``pattern_rank_table(n)``, one column per rank, from
-    the level of S_n: rank f * n! + s is f followed by S_n row s lifted, whose
-    deletions ``_grow_deletion_ranks`` describes.
+    """Rows ``ranks`` of ``pattern_rank_table(n)``, one column per rank: their
+    ``_deletions`` from the level of S_n.
 
     Padding: a deletion equal to the one left of it is replaced by the
     sentinel n!, so a bincount over rows with n! + 1 bins counts each
     covered pattern once per covering permutation.  Equal deletions of a row
     are always adjacent runs, so this keeps exactly one of each.
     """
-    values, deletions = _pattern_level(n)
-    size, unit = factorial(n), factorial(n - 1)
-    dtype = np.min_scalar_type(size)
-    first, own = np.divmod(ranks, size)
-    rows = np.empty((n + 1, len(ranks)), dtype=dtype)
-    rows[0] = own
-    np.add(np.take(deletions, own, axis=1), (first * unit).astype(dtype), out=rows[1:])
-    rows[1:] -= (np.take(values, own, axis=1) < first.astype(np.uint8)) * dtype.type(unit)
+    rows = _deletions(*_pattern_level(n), ranks)
     # n! exceeds every rank, so a maximum writes it; a masked write costs
     # several times as much, as about a quarter of the comparisons are true
-    np.maximum(rows[1:], (rows[1:] == rows[:-1]) * dtype.type(size), out=rows[1:])
+    np.maximum(rows[1:], (rows[1:] == rows[:-1]) * rows.dtype.type(factorial(n)), out=rows[1:])
     return rows
 
 
-def _row_blocks(n: int):
-    """(first rank, ``_pattern_rows`` of the ranks from it) over all of
-    S_{n+1}, ``_COUNT_BLOCK`` entries at a time."""
-    total, step = factorial(n + 1), _COUNT_BLOCK // (n + 1)
-    for a in range(0, total, step):
-        yield a, _pattern_rows(n, np.arange(a, min(a + step, total)))
+def _row_blocks(n: int, rows_of):
+    """(first rank, ``rows_of`` the ranks from it) over all of S_{n+1}, in blocks
+    of at most ``_COUNT_BLOCK`` entries and a 16th of it, whose temporaries (under
+    8 B an entry from n = 7) stay below the values a level build lifts next."""
+    total = factorial(n + 1)
+    for a in range(0, total, step := min(-(-total // 16), _COUNT_BLOCK // (n + 1))):
+        yield a, rows_of(np.arange(a, min(a + step, total)))
 
 
 def _coverage_counts(
@@ -196,7 +190,7 @@ def verify_cover_counts(max_n: int) -> list[tuple[int, bool, int, int]]:
     for n in range(1, max_n + 1):
         expected = n * n + 1
         counts = sum(np.bincount(block.ravel(), minlength=factorial(n) + 1)
-                     for _, block in _row_blocks(n))[:-1]
+                     for _, block in _row_blocks(n, partial(_pattern_rows, n)))[:-1]
         rows.append((n, bool((counts == expected).all()), int(counts.max()), expected))
     return rows
 

@@ -197,8 +197,8 @@ def _max_multiplicity(elements, h: int) -> int:
     n_tuples = comb(k + h - 1, h)
     if not k or n_tuples > h * int(els[-1]) + 1:
         return int(representation_counts(els, h).max())
-    # live at once: about five int64 arrays of one entry per tuple
-    check_budget(40 * n_tuples, f"{n_tuples} tuple sums")
+    # live at once: five int64 arrays a tuple and the fewer sums one shorter
+    check_budget(48 * n_tuples, f"{n_tuples} tuple sums")
     # extend each nondecreasing index tuple by every index at or above its last
     sums, last = els, np.arange(k)
     for _ in range(h - 1):

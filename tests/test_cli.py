@@ -260,15 +260,22 @@ def no_trials(monkeypatch):
         f"{_SCAN} --tol 0.02 --trials-per-eval 60 --target -0.2",
         f"{_SCAN} --tol 0.02 --trials-per-eval 60 --target nan",
         f"{_SIDON_SCAN} --tol 1 --trials-per-eval 0",
+        # a tolerance is finite, as JSON has no infinity
+        f"{_SCAN} --tol inf --trials-per-eval 60 --format json",
+        f"{_SIDON_SCAN} --tol inf --trials-per-eval 60 --format json",
         "sidon enum-bhg --n 20 --h 2 --g 1 --l 0",
         "sidon enum-bhg --n 20 --h 2 --g 1 --l -1",
         "perm verify-lemmas --max-n 2 --max-n-cover -3",
         "perm verify-lemmas --max-n 9",
         "perm verify-lemmas --max-n 2 --max-n-cover 10",
         "sidon basis --n 1000 --h 2 --g 0 --alpha 0.5 --trials 3",
-        # nan lies on neither side of [0, 1], so the threshold curve refuses it
+        # an offset on the threshold curve is finite, as JSON has no nan or infinity
         "design --n 14 --k 4 --t 2 --mode cover --r nan --trials 3",
         "perm cover --n 5 --lambda 1 --r nan --trials 2",
+        "design --n 14 --k 4 --t 2 --mode cover --r inf --trials 3 --format json",
+        "design --n 14 --k 4 --t 2 --mode cover --r -inf --trials 3 --format json",
+        "perm cover --n 3 --r inf --trials 1 --format json",
+        "perm cover --n 3 --r -inf --trials 1 --format json",
         # float64 Gamma draws stop resolving the waiting time's spread
         "balls --boxes 3 --lambda 4294967297 --waiting --trials 1",
         # counts past 2^53, refused before C(10^6, 5*10^5) is computed
@@ -323,6 +330,20 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
     args = cli.build_parser().parse_args(_CHECK.split())
     cli._check_common(args, args.command_parser)
     assert args.workers == 3
+
+
+def test_default_workers_without_cpu_affinity(tmp_path, monkeypatch, opened):
+    # where os has no sched_getaffinity (macOS, Windows), the CPU count is the
+    # default worker count and caps the pool; a free pool makes the run fork
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(analysis, "_POOL_START_S", 0.0)
+    args = "unionfree --n 8 --p 0.05 --trials 12 --seed 3".split()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert _run(args + ["--out", str(a)]) == 0
+    assert opened == [2]
+    assert _run(args + ["--out", str(b), "--workers", "1"]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize("args", [
@@ -548,6 +569,9 @@ _GOLDEN = [
     # about 71k selected rows of 9 ranks a trial, so the count crosses ten blocks
     ("perm cover --n 8 --lambda 2 --r 0 --trials 2 --seed 15",
      "f3ee92bf4bcc3ed098213773a5dbb0b2f27d18cc031f0bf9a82af90b4f3c88f4"),
+    # uint32 rows of S_10 derived from the uint16 level of S_9
+    ("perm pack --n 9 --lambda 1 --p 0.0005 --trials 2 --seed 17",
+     "6f2fdfc32536ac55fbff1a029994d4d359a804503304f86c8a39643f1e4dac91"),
     ("unionfree --n 8 --p 0.01 --trials 6 --seed 3",
      "abb99c9dc6d54cbc76453929c648263b5f09394e7d688f0e341fa1f07abc5ff0"),
     ("unionfree --n 4 --p 0.3 --trials 5 --exact-obstacles --seed 2 --format json",

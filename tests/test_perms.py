@@ -200,6 +200,21 @@ def test_derived_rows_of_any_ranks_are_the_table_rows(n):
         assert np.array_equal(perms._pattern_rows(n, block).T, table[block])
 
 
+def test_derived_rows_of_s10_match_deletions():
+    # the uint32 rows of S_10 from the uint16 level of S_9, sampled: the
+    # first and last rank of each block f and a few thousand others, against
+    # each row's deletions flattened and ranked one by one
+    n, size = 9, factorial(9)
+    ends = [r for f in range(n + 1) for r in (f * size, (f + 1) * size - 1)]
+    ranks = np.concatenate([ends, derive_stream(66, 0).integers(0, factorial(n + 1), 3000)])
+    rows = perms._pattern_rows(n, ranks)
+    assert rows.dtype == np.uint32 and rows.shape == (n + 1, len(ranks))
+    for rank, row in zip(ranks.tolist(), rows.T.tolist()):
+        rho = lex_unrank(rank, n + 1)
+        expect = sorted({lex_rank(delete_and_flatten(rho, i)) for i in range(1, n + 2)})
+        assert sorted(row) == expect + [size] * (n + 1 - len(expect)), rank
+
+
 @pytest.mark.parametrize("n", [3, 5, 7, 8])
 def test_trials_match_the_table_path(n):
     # the trials' counts from their selected rows alone, against a gather of
@@ -310,10 +325,10 @@ def test_pattern_table_budget(monkeypatch):
     assert peak < 1 << 20
     # n = 9, the largest `perm --n`, passes the budget and starts building
 
-    def build_started(values, ranks):
+    def build_started(values, ranks, selected):
         raise LookupError(f"build started from S_{len(values)}")
 
-    monkeypatch.setattr(perms, "_grow_deletion_ranks", build_started)
+    monkeypatch.setattr(perms, "_deletions", build_started)
     # the level of S_9 built afresh, whether or not an earlier test cached it
     monkeypatch.setattr(perms, "_pattern_level", perms._pattern_level.__wrapped__)
     with pytest.raises(LookupError, match="build started from S_1"):
@@ -334,17 +349,18 @@ def test_pattern_table_build_stays_within_its_budget(monkeypatch):
     assert table.nbytes < peak <= asked[0]
 
 
-def test_pattern_level_build_stays_within_its_budget(monkeypatch):
-    # the bytes the level of S_8 asks the budget for bound its traced peak
+@pytest.mark.parametrize("n", [8, 9])
+def test_pattern_level_build_stays_within_its_budget(monkeypatch, n):
+    # the bytes the level of S_n asks the budget for bound its traced peak
     asked = []
     monkeypatch.setattr(perms, "check_budget", lambda nbytes, what: asked.append(nbytes))
     tracemalloc.start()
     try:
-        values, ranks = perms._pattern_level.__wrapped__(8)
+        values, ranks = perms._pattern_level.__wrapped__(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert values.shape == ranks.shape == (8, factorial(8)) and ranks.dtype == np.uint16
+    assert values.shape == ranks.shape == (n, factorial(n)) and ranks.dtype == np.uint16
     assert values.nbytes + ranks.nbytes < peak <= asked[0]
 
 

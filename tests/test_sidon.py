@@ -107,6 +107,24 @@ def test_pair_count_budget_is_its_peak(monkeypatch, k, top):
     assert checked[0] <= peak <= checked[0] + 16 * np.getbufsize() + 4096
 
 
+@pytest.mark.parametrize("k, h", [(12, 5), (25, 4), (40, 3), (200, 2), (600, 2)])
+def test_tuple_sums_stay_within_their_budget(monkeypatch, k, h):
+    # the bytes the tuple-sum path asks the budget for bound its traced peak,
+    # for elements spread evenly over [10^7]
+    asked = []
+    monkeypatch.setattr(sidon, "check_budget", lambda nbytes, what: asked.append(nbytes))
+    els = np.unique(np.linspace(1, 10**7, k).astype(np.int64))
+    n_tuples = comb(k + h - 1, h)
+    assert len(els) == k and n_tuples <= h * int(els[-1]) + 1
+    tracemalloc.start()
+    try:
+        _max_multiplicity(els, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * n_tuples < peak <= asked[0]
+
+
 def test_pair_count_budget_refuses_before_allocating():
     # 3 * 2*10^9 bins of int64 are refused before any of them is allocated
     tracemalloc.start()
