@@ -1,6 +1,6 @@
 """Shared numerical and statistical machinery.
 
-The coverage core of the designs, perms and balls models (a bincount of the
+The coverage core of the designs, perms and balls models (a count of the
 rows of the selected objects, then the targets covered at most lam - 1 or
 at least lam + 1 times), exact binomial tail sums, Poisson goodness-of-fit
 in total variation, Gumbel empirical-CDF distance, Monte Carlo aggregation
@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import BracketError
-from .rng import bernoulli_ranks, derive_stream
+from .rng import bernoulli_blocks, derive_stream
 
 __all__ = [
     "EULER_GAMMA",
@@ -49,8 +49,13 @@ _Z95 = 1.959963984540054
 # of the per-trial time that prices it; 2-vCPU VM, see BENCH_19.json
 _POOL_START_S = 0.15
 
-# table entries that one gather and bincount of selected rows takes at a time
+# table entries that one block of derived rows takes at a time
 _COUNT_BLOCK = 1 << 16
+
+# table values that one block of a selection is counted in: at 2^16, a perm
+# n = 8 trial's block temporaries pass glibc's dynamic trim threshold, and
+# their pages are faulted in again at each block (230 faults a trial)
+_SELECT_BLOCK = 1 << 15
 
 
 def selected_row_counts(
@@ -59,13 +64,17 @@ def selected_row_counts(
 ) -> np.ndarray:
     """Occurrences of each value in [n_bins] over ``rows(ranks)``, the
     ``width`` values of each rank in [universe] that ``bernoulli_ranks`` keeps
-    with probability p, made and counted ``_COUNT_BLOCK`` values at a time,
-    as bincount copies its input to intp."""
-    ranks = bernoulli_ranks(universe, p, stream)
-    step = max(1, _COUNT_BLOCK // width)
-    counts = np.bincount(rows(ranks[:step]).ravel(), minlength=n_bins)
-    for a in range(step, len(ranks), step):
-        counts += np.bincount(rows(ranks[a : a + step]).ravel(), minlength=n_bins)
+    with probability p.  Each block of ``bernoulli_blocks``, at most
+    ``_SELECT_BLOCK`` values, is counted as it is drawn, through one intp
+    buffer that ``np.add.at`` reads without a copy, so no more of the
+    selection than one block is held."""
+    step = max(1, _SELECT_BLOCK // width)
+    counts = np.zeros(n_bins, dtype=np.intp)
+    values = np.empty(step * width, dtype=np.intp)
+    for ranks in bernoulli_blocks(universe, p, stream, step):
+        block = values[: len(ranks) * width]
+        np.copyto(block, rows(ranks).ravel())
+        np.add.at(counts, block, 1)
     return counts
 
 

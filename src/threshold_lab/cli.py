@@ -232,7 +232,7 @@ def _req(type_, **kw) -> dict:
 _TRIALS = {"--trials": _req(_positive_int)}
 _LAMBDA = {"--lambda": {"dest": "lam", "type": _positive_int, "default": 1}}
 _NHG = {"--n": _req(_positive_int), "--h": _req(_number_in(int, 2)), "--g": _req(_positive_int)}
-_PERM_N = {"--n": _req(_number_in(int, 3, 9))}
+_PERM_N = {"--n": _req(_number_in(int, 3, 10))}
 _BISECT = {"--target": {"type": _number_in(float, 0.0, 1.0, above=True, below=True),
                        "default": 0.5}, "--tol": _req(_positive_float),
            "--trials-per-eval": _req(_positive_int)}

@@ -8,17 +8,24 @@ changing a single output bit.
 
 from __future__ import annotations
 
+import math
+from typing import Iterator
+
 import numpy as np
 
 from .errors import check_budget
 
 __all__ = [
+    "bernoulli_blocks",
     "bernoulli_ranks",
     "derive_stream",
     "throw_balls",
 ]
 
 _U64 = (1 << 64) - 1
+
+# ranks that ``bernoulli_ranks`` draws and keeps a block at a time
+_RANK_BLOCK = 1 << 12
 
 
 def derive_stream(master: int, trial_index: int,
@@ -51,31 +58,91 @@ def bernoulli_ranks(
     universe_size: int, p: float, stream: np.random.Generator
 ) -> np.ndarray:
     """Sorted int64 indices of ``[universe_size]``, each kept independently
-    with probability p: a Binomial(universe_size, p) size, then that many
-    distinct uniform ranks (Devroye 1986, ch. XII), the law of one coin per
-    index at O(p * universe_size) draws.  Above p = 1/2 the dropped indices
-    are drawn at 1 - p instead.  The bytes the selection allocates are
-    checked against the memory budget once the size is drawn."""
-    if universe_size < 0:
-        raise ValueError("universe_size must be non-negative")
+    with probability p: the blocks of ``bernoulli_blocks`` at ``_RANK_BLOCK``
+    ranks, joined.  The memory budget is checked on the running total before
+    each block is kept and, before any draw, on the size 10 standard
+    deviations and 34 below its mean, which a selection falls short of with
+    a chance under 2e-22 (Bernstein's inequality)."""
+    drawn = bernoulli_blocks(universe_size, p, stream, _RANK_BLOCK)
+    mean = p * universe_size
+    low = int(max(0.0, mean - 10 * math.sqrt(mean * (1.0 - p)) - 34))
+    # the blocks kept and their join, 16 bytes a rank, and the next block as
+    # it is drawn, which traces under 16 bytes a rank of the cap
+    check_budget(16 * low + 24 * _RANK_BLOCK,
+                 f"selection arrays for about {round(mean)} of {universe_size} indices")
+    blocks, total = [], 0
+    for block in drawn:
+        total += len(block)
+        check_budget(16 * total + 24 * _RANK_BLOCK,
+                     f"selection arrays for {total} of {universe_size} indices")
+        blocks.append(block)
+    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+
+
+def bernoulli_blocks(
+    universe_size: int, p: float, stream: np.random.Generator, block: int
+) -> Iterator[np.ndarray]:
+    """The indices ``bernoulli_ranks`` keeps, in order, as non-empty sorted
+    int64 arrays of at most ``block`` each.  They are running sums of
+    Geometric(q) gaps at q = min(p, 1 - p), drawn a block of gaps at a time
+    (Devroye 1986, ch. XII), the law of one coin per index at O(q U) draws;
+    above p = 1/2 they are the indices these gaps skip, a window of ``block``
+    indices at a time.  The gaps are one sequence, so the indices do not
+    depend on ``block``."""
+    if not 0 <= universe_size <= 1 << 63:
+        raise ValueError("universe_size must lie in [0, 2^63]")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    if block < 1:
+        raise ValueError("block must be at least 1")
     q = min(p, 1.0 - p)
-    size = int(stream.binomial(universe_size, q))
-    # numpy's choice draws into a hash set of at most 2.4 * size + 1 int64
-    # slots or, once size passes U/20 at U > 10000 (numpy 2.4), shuffles an
-    # int64 arange of the whole universe, charged here from U/50 on; the sort
-    # copies the choice, and the complement adds a mask and the ranks it keeps
-    shuffled = size > universe_size // 50
-    check_budget(36 * size + 8 + (8 * universe_size if shuffled else 0)
-                 + (9 * universe_size - 8 * size if p > 0.5 else 0),
-                 f"selection arrays for {size} of {universe_size} indices")
-    ranks = np.sort(stream.choice(universe_size, size, replace=False, shuffle=False))
-    if p <= 0.5:
-        return ranks
-    kept = np.ones(universe_size, dtype=bool)
-    kept[ranks] = False
-    return np.flatnonzero(kept)
+    drawn = _gap_sums(universe_size, q, stream, block) if q > 0 else iter(())
+    return drawn if p <= 0.5 else _skipped(drawn, universe_size, block)
+
+
+def _gap_sums(universe: int, q: float, stream: np.random.Generator,
+              block: int) -> Iterator[np.ndarray]:
+    """Running sums of Geometric(q) gaps, less one, while below ``universe``:
+    about q U + 4 sqrt(q U) + 16 gaps at a time, at most ``block``."""
+    end = 0  # one past the last index kept
+    while end < universe:
+        mean = q * (universe - end)
+        ranks = stream.geometric(q, min(block, int(mean + 4 * math.sqrt(mean)) + 16))
+        ranks[0] -= 1
+        # summed in place in uint64: gaps are below 2^63 and the universe at
+        # most 2^63, so no sum up to the first past the universe wraps, though
+        # later ones may
+        sums = ranks.view(np.uint64)
+        sums[0] += end
+        np.cumsum(sums, out=sums)
+        past = sums >= universe
+        kept = int(past.argmax())
+        if not past[kept]:
+            kept = len(ranks)
+        if kept:
+            yield ranks[:kept]
+        if kept < len(ranks):
+            return
+        end = int(ranks[-1]) + 1
+
+
+def _skipped(drawn: Iterator[np.ndarray], universe: int,
+             block: int) -> Iterator[np.ndarray]:
+    """The indices of ``[universe]`` missing from the sorted blocks ``drawn``,
+    a window of ``block`` indices at a time."""
+    pending = np.empty(0, dtype=np.int64)
+    for a in range(0, universe, block):
+        b = min(a + block, universe)
+        while not (len(pending) and pending[-1] >= b) and (more := next(drawn, None)) is not None:
+            pending = np.concatenate((pending, more))
+        cut = int(np.searchsorted(pending, b))
+        kept = np.ones(b - a, dtype=bool)
+        kept[pending[:cut] - a] = False
+        pending = pending[cut:]
+        ranks = np.flatnonzero(kept)
+        if len(ranks):
+            ranks += a
+            yield ranks
 
 
 def throw_balls(

@@ -187,6 +187,18 @@ def basis_threshold_p(n: int, h: int, g: int, alpha: float, a_shift: float) -> f
     return radicand ** (1.0 / h)
 
 
+def _tuple_sums(els: np.ndarray, h: int) -> np.ndarray:
+    """The sum of each nondecreasing h-tuple of the sorted ``els``, one per
+    tuple: each index tuple extended by every index at or above its last; its
+    own function so that its index arrays are freed before the sums are sorted."""
+    sums, last = els, np.arange(len(els))
+    for _ in range(h - 1):
+        rows, last = _extend(last, len(els) - last)
+        sums = sums[rows]
+        sums += els[last]
+    return sums
+
+
 def _max_multiplicity(elements, h: int) -> int:
     """``representation_counts(elements, h).max()``, from the C(k + h - 1, h)
     tuple sums directly when they are no more than the table's h * max + 1 bins."""
@@ -197,14 +209,18 @@ def _max_multiplicity(elements, h: int) -> int:
     n_tuples = comb(k + h - 1, h)
     if not k or n_tuples > h * int(els[-1]) + 1:
         return int(representation_counts(els, h).max())
-    # live at once: five int64 arrays a tuple and the fewer sums one shorter
-    check_budget(48 * n_tuples, f"{n_tuples} tuple sums")
-    # extend each nondecreasing index tuple by every index at or above its last
-    sums, last = els, np.arange(k)
-    for _ in range(h - 1):
-        rows, last = _extend(last, k - last)
-        sums = sums[rows] + els[last]
-    return int(np.unique(sums, return_counts=True)[1].max())
+    # the tracemalloc peak is the last column's addition, four int64 arrays a
+    # tuple, or, as its indices are made, three a tuple and five a tuple one
+    # element shorter; the sorted sums and their run starts take under four;
+    # and under 8 KiB of small arrays and objects
+    shorter = comb(k + h - 2, h - 1)
+    check_budget(8 * max(4 * n_tuples, 3 * n_tuples + 5 * shorter) + (8 << 10),
+                 f"{n_tuples} tuple sums")
+    sums = _tuple_sums(els, h)
+    sums.sort()
+    # the longest run of equal sums, the widest gap between run starts
+    starts = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1], [True])))
+    return int((starts[1:] - starts[:-1]).max())
 
 
 def bh_g_trial(

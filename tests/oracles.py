@@ -1,7 +1,8 @@
 """Slow, obviously correct references that the fast paths are tested against.
 Each trial here takes the same arguments as its counterpart in the package
 and selects with one coin per object of the universe, or throws one ball at a
-time; the counters and tables loop over pairs and subsets one at a time.  The
+time; the package's own selection is also drawn one gap at a time, in Python
+integers.  The counters and tables loop over pairs and subsets one at a time.  The
 cover sets are built by value insertion, and the Sidon predicates read the
 counts that the package's trials compute.  The pairs that make up a union
 are enumerated from its determining maps, the count behind
@@ -28,6 +29,18 @@ _MAX_DETERMINING_K = 13
 def dense_bernoulli_ranks(universe_size, p, stream):
     """Indices kept by one independent p-coin per index of ``[universe_size]``."""
     return np.nonzero(stream.random(universe_size) < p)[0]
+
+
+def gap_bernoulli_ranks(universe_size, p, stream):
+    """``rng.bernoulli_ranks`` from one Geometric(q) gap at a time, q = min(p,
+    1 - p), summed as Python integers: the indices the gaps reach below
+    ``universe_size`` or, above p = 1/2, every other index."""
+    q, reached, at = min(p, 1 - p), [], -1
+    while q > 0 and (at := at + int(stream.geometric(q))) < universe_size:
+        reached.append(at)
+    if p > 0.5:
+        reached = sorted(set(range(universe_size)) - set(reached))
+    return reached
 
 
 def count_union_collisions(family):

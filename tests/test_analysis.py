@@ -190,17 +190,19 @@ def test_run_trials_fair_coin():
     assert s.ci_low <= s.estimate <= s.ci_high
 
 
-_DESIGN = designs.DesignParams(9, 4, 2, 1)
+# near the middle of the transition (about 0.57 of trials hold), so 60
+# trials mix outcomes whatever the draw
+_DESIGN, _DESIGN_P = designs.DesignParams(9, 4, 2, 1), 0.17
 
 
 def _cover_holds(stream):
     """The bool adapter of a model trial, which returns (X, holds)."""
-    return designs.deficiency_trial(stream, _DESIGN, 0.25)[1]
+    return designs.deficiency_trial(stream, _DESIGN, _DESIGN_P)[1]
 
 
 def test_pair_trial_scores_as_its_bool_adapter(monkeypatch, opened):
     monkeypatch.setattr(analysis, "_POOL_START_S", 0.0)
-    pair = partial(designs.deficiency_trial, params=_DESIGN, p=0.25)
+    pair = partial(designs.deficiency_trial, params=_DESIGN, p=_DESIGN_P)
     summaries = [run_trials(fn, 60, seed=17, workers=workers)
                  for fn in (pair, _cover_holds) for workers in (1, 2)]
     assert all(s == summaries[0] for s in summaries)
@@ -280,7 +282,7 @@ def test_pool_opens_once_its_priced_saving_passes_0_15_s(monkeypatch, opened, sh
 @pytest.mark.parametrize("block", [1, 5, 6, 7, 1 << 16])
 def test_selected_row_counts_in_blocks_match_one_bincount(monkeypatch, block):
     # blocks of under one row, of whole rows, and straddling a row boundary
-    monkeypatch.setattr(analysis, "_COUNT_BLOCK", block)
+    monkeypatch.setattr(analysis, "_SELECT_BLOCK", block)
     table = derive_stream(17, 0).integers(0, 40, size=(500, 3), dtype=np.uint16)
     for p in (0.0, 0.3, 0.9):
         counts = selected_row_counts(partial(np.take, table, axis=0), len(table), 3, 41, p,

@@ -52,6 +52,17 @@ def test_design_runs_past_n_30(tmp_path):
     assert out.read_text().splitlines()[1] == "trial,X,prop_holds"
 
 
+def test_perm_runs_at_n_10_without_its_level(tmp_path):
+    # r = -1000 clamps p to 0: no rank is drawn, so no level of S_10 is
+    # built, and all 10! patterns are undercovered
+    out = tmp_path / "p.csv"
+    builds = perms._pattern_level.cache_info().misses
+    assert _run("perm cover --n 10 --r -1000 --trials 1 --workers 1".split()
+                + ["--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["trial,X,prop_holds", "0,3628800,0"]
+    assert perms._pattern_level.cache_info().misses == builds
+
+
 def test_design_requires_p_or_r():
     with pytest.raises(SystemExit) as err:
         _run("design --n 10 --k 4 --t 2 --mode cover --trials 2".split())
@@ -276,6 +287,9 @@ def no_trials(monkeypatch):
         "design --n 14 --k 4 --t 2 --mode cover --r -inf --trials 3 --format json",
         "perm cover --n 3 --r inf --trials 1 --format json",
         "perm cover --n 3 --r -inf --trials 1 --format json",
+        # perms stop at n = 10, whose level of S_10 takes 218 MB
+        "perm cover --n 11 --r -1000 --trials 1",
+        "perm pack --n 2 --p 0.1 --trials 1",
         # float64 Gamma draws stop resolving the waiting time's spread
         "balls --boxes 3 --lambda 4294967297 --waiting --trials 1",
         # counts past 2^53, refused before C(10^6, 5*10^5) is computed
@@ -533,65 +547,65 @@ assert sys.modules["_hashlib"] is _hashlib
 # moves any of them updates the digest here and logs the output change
 _GOLDEN = [
     ("balls --boxes 100 --lambda 1 --balls 40 --trials 5 --seed 1",
-     "5bceb3ba297dd6ebe59d244c2bb60ca71a71f813f12a5a812b719173a6c0ae80"),
+     "f186b2576bdf2cedb99f87d4b2356ca6793de7165be1c2ff6d921ccb182d536e"),
     ("balls --boxes 1000 --lambda 2 --waiting --trials 5 --seed 7",
-     "7bdcd879253c90fbf9b23326ba3a7adb571d35805a6fdd3186ef50acf6436e81"),
+     "7b75a7d83ea85bc2aa93c9ff264d826a99694905699287804e6f2b23985077f4"),
     ("balls --boxes 50 --lambda 3 --waiting --trials 4 --seed 8 --format json",
-     "1af06ed7f98df9fd691db512ec2ded03138b25078af00a4882bfcb0b4705e1f5"),
+     "69c43735d0921e556d3bb0603f6aed80b6bb914d49800445e017f6062a0d4154"),
     ("design --n 10 --k 3 --t 2 --mode cover --r 1 --trials 20 --seed 11",
-     "9d249069edc6b7f32d2296b46dc98d791e2d61beb04a4630e4a41dc24eb6b82d"),
+     "c481159d943db584ac7665d42a1f42484c2243a88fecb9800d8c2d7425ee032c"),
     ("design --n 9 --k 4 --t 2 --lambda 2 --mode cover --p 0.2 --trials 10 --seed 13",
-     "2fab9eefc33260be1cf745e6ae2a609d29e175c7ede237dcdd34b369a7ae07de"),
+     "99b36ad13c043d49d7fe50ea59896e8608a3f17527ed12c2d0e5d6c3400a382e"),
     ("design --n 10 --k 4 --t 2 --lambda 2 --mode pack --p 0.05 --trials 20 --seed 12"
      " --format json",
-     "aea3031f6551cb5fbf5e76bb99a0cef252acbe0464bba4689682df0800f3cf73"),
+     "f17d957dbaf27d2ed4c4bf4596ce79a099a491efff1a0af6a38f6cae2d64bc36"),
     ("sidon check --n 500 --h 2 --g 1 --k 6 --trials 30 --seed 5",
-     "ce86abb66343bd3419fda87956d31c70ea5a01eb4774d9079cff255f006eecfa"),
+     "1a934f26446abb79e007e8816cff412b4f638ec6cfedbfdb184fb22448d09161"),
     ("sidon check --n 200 --h 3 --g 1 --k 5 --trials 10 --seed 6 --format json",
-     "32624399e91167a2872eab8ecd860294307e541038aad3cda49310b94e42950d"),
+     "808226ea2223b1ce2fa82748a540654fee4d8f9437a2e85085ff0c62354fec9d"),
     ("sidon basis --n 200 --h 2 --g 2 --alpha 0.5 --A 0 --trials 10 --seed 3",
-     "39b1342c80c9c10c229c854a0a1893d86a7ee009e3491aa01804bf6da4c012f3"),
+     "1476a7c97d656dda4490c59de5c04f8f22a48a5672fa0fb0be8abc76af6e54f8"),
     # about 600 elements a trial, so the pair sums cross two row blocks
     ("sidon basis --n 10000 --h 2 --g 2 --alpha 0.5 --A 0 --trials 3 --seed 14",
-     "7dac1675ba2c7629332deffab5d2d8297d1f46199dcb4859c6e28dfba886eecc"),
+     "0a7c530010ef3f5c41a31f2e0765ee2193789e83e08e1d6083a28568dd7aa0a9"),
     ("sidon enum-bhg --n 20 --h 2 --g 1 --l 4 --format json",
-     "7766d6ebd1d903f1df8b71368aca4fac382a189a7058526191e7814882a68e07"),
+     "1fd8a7a735e4e94c74c2701dfa798277d662ae73e68103ccacfa7ba2a080a217"),
     ("sidon scan --n 2000 --h 2 --g 1 --lo 2 --hi 60 --tol 2 --trials-per-eval 60 --seed 4",
-     "6ff64df9660ba4fe1a6e954705334c470b6c2753cedd4d788bef7605ba39643d"),
+     "ab89ac383005de82479377f8b2e6d52ef224b56df0429f3d70997d6769dd2854"),
     ("perm verify-lemmas --max-n 3",
-     "72e98746e510f96dc415025859574776d6baed3a9e8d7077faf2f8c86ff28114"),
+     "0645c2663c179ae984fed457a946bb43e1a388b6bb64e0f39593f4e2e25bf0de"),
     ("perm verify-lemmas --max-n 3 --max-n-cover 2 --format json",
-     "b3d22cbb4451c48b594e76a04885f89afcbde3e704773c9dc6547fb6f940b96b"),
+     "466b777852e00a014fed6341c849b6e73adb55b9f1302110dabe64253cd7be4e"),
     ("perm cover --n 5 --lambda 1 --r 0 --trials 10 --seed 8",
-     "36a8e22555e8ebb5a22c498b5aeac883e416345a1b2068bf3ce2501d7a812ac8"),
+     "75319a478a04876acd999632867470bc4711d1203dc49b969597a4cb19e8074d"),
     ("perm pack --n 5 --lambda 1 --p 0.02 --trials 10 --seed 9 --format json",
-     "fea1e70e1088061ae0fea7f7c4c7122db64ff8bd8c6bb197d7fe3ec2216760ae"),
+     "27f1948af7d98f08d0e5a97f786424deccfce3ad30b56b71a58e104df418790f"),
     # about 71k selected rows of 9 ranks a trial, so the count crosses ten blocks
     ("perm cover --n 8 --lambda 2 --r 0 --trials 2 --seed 15",
-     "f3ee92bf4bcc3ed098213773a5dbb0b2f27d18cc031f0bf9a82af90b4f3c88f4"),
+     "e488801400b830b5db928862109680586a5525c536d9a490edd8a441c8b6de2a"),
     # uint32 rows of S_10 derived from the uint16 level of S_9
     ("perm pack --n 9 --lambda 1 --p 0.0005 --trials 2 --seed 17",
-     "6f2fdfc32536ac55fbff1a029994d4d359a804503304f86c8a39643f1e4dac91"),
+     "b16222978eddbcf44f0ff7d37702b601d1438e45419837cce3b80e025784eef2"),
     ("unionfree --n 8 --p 0.01 --trials 6 --seed 3",
-     "abb99c9dc6d54cbc76453929c648263b5f09394e7d688f0e341fa1f07abc5ff0"),
+     "cbbc8372bfe422984ce7f22f8f58ebe4dd3dbe7203c1f905472743efe6e5502f"),
     ("unionfree --n 4 --p 0.3 --trials 5 --exact-obstacles --seed 2 --format json",
-     "6ddcd0e527f1c2e176c17baab242a8bda30e3f7fc66b4a7e52f81c68b80e501c"),
+     "0b30f2fa459720ea2ba4b5211f6e9db678e78ae76223513be4d44fd8f10e891b"),
     ("scan --experiment unionfree --n 8 --lo 0.002 --hi 0.2 --tol 0.02 --trials-per-eval 60"
      " --seed 2",
-     "48c2c1955a5fbf6dc36745bb915b4882b4e48cc5ebefb27936d164a763f39754"),
+     "684cc2fc0e6925f50f995407983415a3e29a5c96867ec1cb286b7023a3a8203a"),
     ("scan --experiment design-cover --n 10 --k 3 --t 2 --lo 0.02 --hi 0.5 --tol 0.02"
      " --trials-per-eval 60 --seed 4 --format json",
-     "dd64eb0ba457afe6aa1ad0fdb5e6e495412182bb04ced68ed03bac65e7da9d21"),
+     "4f0c15060703b58d6594678be049d974c186f0ec5b917fdfbcd3047d4694a0c9"),
     ("scan --experiment design-pack --n 8 --k 3 --t 2 --lo 0.001 --hi 0.5 --tol 0.05"
      " --trials-per-eval 60 --seed 5",
-     "1aaf3b17b1b1f776c5cbc6a7b9e0775b0401966630e17ed61a83a62db6892a94"),
+     "80026754c2421def31f2244182226011913e66fee69ce5cb443c423bee60c8aa"),
     ("verify --format json",
-     "e776a1004ff368ed631cd62e435b1aacc806523cef32bbadedd2460590edf799"),
+     "755f13ddbae84508e02b5cf00f70d8ee30037070f55ff3c0dadce4d16c0702d6"),
     # the census at h = 3 and at g = 2
     ("sidon enum-bhg --n 40 --h 3 --g 1 --l 5",
-     "40b6ac409064957d163c06edc6188ce51a2e61d3be942fa423c8c3910acb3c2f"),
+     "037a110504b23e59e48431b271b5e880d4a8d0b6ca3c21d21b2213170c6872e5"),
     ("sidon enum-bhg --n 60 --h 2 --g 2 --l 5",
-     "fcc6852bc1ae53e1b4304fab7e9b9d80a7ac15abae8ea03b22ca7fed227335b4"),
+     "677a16c8fd8687567172d3a91df8c22785839c2a597475a37730035638117266"),
 ]
 
 

@@ -7,7 +7,7 @@ from scipy import stats
 import oracles
 from threshold_lab import designs, perms, sidon, unionfree
 from threshold_lab.errors import BudgetExceededError
-from threshold_lab.rng import bernoulli_ranks, derive_stream, throw_balls
+from threshold_lab.rng import bernoulli_blocks, bernoulli_ranks, derive_stream, throw_balls
 
 
 def test_same_key_same_sequence():
@@ -44,9 +44,7 @@ def _every_trial_draw(stream) -> list:
     """One of each draw method the trials use, each on both of its code paths."""
     return [
         stream.random(3),
-        stream.binomial(10**6, 0.3), stream.binomial(40, 0.05),  # BTPE, inversion
-        stream.choice(10**6, 15, replace=False, shuffle=False),  # Floyd
-        stream.choice(40, 25, replace=False, shuffle=False),  # partial shuffle
+        stream.geometric(0.01, size=5), stream.geometric(0.4, size=5),  # inversion, search
         stream.integers(0, 1000, size=5), stream.integers(0, 2**40, size=3),  # 32-, 64-bit words
         stream.standard_gamma(2.0, size=4), stream.standard_gamma(0.5, size=4),
         stream.poisson(3.5), stream.poisson(1e4),
@@ -114,8 +112,8 @@ def test_cardinality_is_binomial():
     assert _binomial_pvalue(sizes, n, p) > 1e-3
 
 
-# (universe, p): ranks drawn sparsely (Floyd), by a partial shuffle, and as
-# the complement of a draw at 1 - p
+# (universe, p): a sparse draw, a dense one, and the indices skipped by a
+# draw at 1 - p
 _PATHS = [(20_000, 0.001), (50, 0.3), (50, 0.8)]
 
 
@@ -156,8 +154,8 @@ def test_bernoulli_ranks_edges():
         bernoulli_ranks(-1, 0.5, rng)
 
 
-# (universe, p): a sparse draw, one past U/50, a partial shuffle of the
-# whole universe for a few ranks, a complement, and a small universe
+# (universe, p): a sparse draw, dense draws over several blocks, the skipped
+# indices of a draw at 1 - p, and a small universe
 @pytest.mark.parametrize("n, p", [(10**6, 0.005), (10**6, 0.03), (10**6, 0.06), (10**6, 0.9),
                                   (5000, 0.6)])
 def test_bernoulli_ranks_stays_within_its_budget(monkeypatch, n, p):
@@ -173,19 +171,91 @@ def test_bernoulli_ranks_stays_within_its_budget(monkeypatch, n, p):
     assert ranks.nbytes < peak <= asked[-1]
 
 
-def test_bernoulli_ranks_budget_refuses_before_the_choice(monkeypatch):
+def test_bernoulli_ranks_budget_refuses_before_the_whole_selection(monkeypatch):
     monkeypatch.setattr("threshold_lab.errors.MAX_ARRAY_BYTES", 1 << 20)
-    # about 5000 of 10^6 ranks fit; half of 10^7 (an 80 MB shuffle) is
-    # refused before anything of its size is allocated
+    # 1 MiB holds 59392 ranks at 16 bytes beside one block being drawn: about
+    # 5000 of 10^6 ranks fit; about 61000 (10 standard deviations and 34 below
+    # that, 58573) are refused on their running total; half of 10^7 (40 MB of
+    # ranks) is refused before any draw
     assert len(bernoulli_ranks(10**6, 0.005, derive_stream(84, 0))) > 4000
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceededError, match="memory budget"):
-            bernoulli_ranks(10**7, 0.5, derive_stream(84, 0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    for n, p, drawn in ((10**6, 0.061, True), (10**7, 0.5, False)):
+        stream = derive_stream(84, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="memory budget"):
+                bernoulli_ranks(n, p, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert (stream.random() != derive_stream(84, 0).random()) == drawn
+
+
+# (universe, p): dense and sparse, the skipped indices above 1/2, gaps past
+# 2^63 (U = 2^62 at p = 2^-60 draws about 28 gaps of 2^60 to keep 4 ranks,
+# and at 5e-324 numpy's geometric clamps each gap to 2^63 - 1), and
+# p = 1 - 2^-53, whose dropped indices are drawn at q = 2^-53
+_GAP_CASES = [(0, 0.3), (1, 0.5), (7, 0.2), (100, 0.3), (100, 0.5), (100, 0.7), (300, 0.98),
+              (20_000, 0.001), (2**62, 2.0**-55), (2**62, 2.0**-60), (2**62, 5e-324),
+              (50, 1 - 2.0**-53), (10, 0.0), (10, 1.0)]
+
+
+@pytest.mark.parametrize("n, p", _GAP_CASES)
+def test_bernoulli_ranks_match_the_gap_oracle(n, p):
+    # the same stream, one gap at a time in Python integers, which cannot wrap
+    for i in range(3):
+        ranks = bernoulli_ranks(n, p, derive_stream(85, i))
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == oracles.gap_bernoulli_ranks(n, p, derive_stream(85, i))
+
+
+@pytest.mark.parametrize("n, p", _GAP_CASES)
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_bernoulli_blocks_cross_every_block_edge(n, p, block):
+    # blocks of 1-3 ranks, or windows of 1-3 indices above 1/2: every block
+    # edge falls between two ranks, and the blocks join to the whole draw
+    blocks = list(bernoulli_blocks(n, p, derive_stream(86, 0), block))
+    assert all(0 < len(b) <= block and b.dtype == np.int64 for b in blocks)
+    joined = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    assert np.array_equal(joined, bernoulli_ranks(n, p, derive_stream(86, 0)))
+
+
+def test_bernoulli_ranks_at_the_ends_of_p_draw_nothing():
+    # p of 0 and 1 keep nothing and everything, and an empty universe keeps
+    # nothing, without drawing from the stream
+    stream = derive_stream(87, 0)
+    assert bernoulli_ranks(10, 0.0, stream).tolist() == []
+    assert bernoulli_ranks(10, 1.0, stream).tolist() == list(range(10))
+    for p in (0.0, 0.3, 1 - 2.0**-53, 1.0):
+        assert bernoulli_ranks(0, p, stream).tolist() == []
+    assert stream.random() == derive_stream(87, 0).random()
+
+
+def test_bernoulli_ranks_size_at_2_to_62():
+    # U = 2^62 at p = 2^-55: a first block of 189 gaps (128 + 4 * sqrt(128) +
+    # 16) sums to about 6.8e18, 4 sigma from it 8.8e18, near 2^63; the size
+    # is Binomial(2^62, 2^-55), within 4 standard errors of 128 on average
+    sizes = np.array([len(bernoulli_ranks(2**62, 2.0**-55, derive_stream(88, i)))
+                      for i in range(400)])
+    assert abs(sizes.mean() - 128) < 4 * np.sqrt(128 / 400)
+
+
+def test_subset_frequencies_match_independent_coins():
+    # every subset S of [6] is drawn with probability p^|S| (1 - p)^(6 - |S|);
+    # subsets expected fewer than 5 times are pooled into one cell
+    n, draws = 6, 6000
+    weight = np.array([bin(s).count("1") for s in range(1 << n)])
+    stream = None
+    for p in (0.1, 0.5, 0.9):
+        seen = np.zeros(1 << n, dtype=np.int64)
+        for i in range(draws):
+            stream = derive_stream(89, i, stream)
+            seen[np.bitwise_or.reduce(1 << bernoulli_ranks(n, p, stream), initial=0)] += 1
+        expected = draws * p**weight * (1 - p) ** (n - weight)
+        rare = expected < 5
+        obs = np.append(seen[~rare], seen[rare].sum()) if rare.any() else seen
+        exp = np.append(expected[~rare], expected[rare].sum()) if rare.any() else expected
+        assert stats.chisquare(obs, exp)[1] > 1e-3, p
 
 
 def _two_sample_pvalue(a, b) -> float:
@@ -227,6 +297,41 @@ def test_trial_law_matches_dense_oracle(fast, oracle, kwargs):
     xs = [fast(derive_stream(81, i), **kwargs)[0] for i in range(trials)]
     ys = [oracle(derive_stream(82, i), **kwargs)[0] for i in range(trials)]
     assert _two_sample_pvalue(xs, ys) > 1e-3
+
+
+# (universe, p) of each bench line that selects, and of the set-up lines of
+# the scans: design pack and cover, unionfree at n = 20, 14 and 12, Sidon
+# check and basis, perm pack and cover
+_BENCH_SELECTIONS = [
+    (1001, 0.002), (15504, designs.covering_threshold_p(designs.DesignParams(20, 5, 2, 2), 0)),
+    (15504, 0.001), (1 << 20, 1e-5), (1 << 14, 10**-3.5), (1 << 12, 1e-4),
+    (10**6, 32 / 10**6), (10**4, 2 / 10**4), (10_001, sidon.basis_threshold_p(10**4, 2, 2, 0.5, 0)),
+    (40320, 0.002), (362880, perms.covering_threshold_p(8, 2, 0)),
+]
+
+
+def _selection_statistics(select, n, p, seed, draws):
+    """Size, first rank (n when nothing is kept) and the gaps between the
+    first 200 ranks of each of ``draws`` selections."""
+    sizes, firsts, gaps = [], [], []
+    stream = None
+    for i in range(draws):
+        ranks = np.asarray(select(n, p, stream := derive_stream(seed, i, stream)))
+        sizes.append(len(ranks))
+        firsts.append(ranks[0] if len(ranks) else n)
+        gaps.append(np.diff(ranks[:200]))
+    return sizes, firsts, np.concatenate(gaps)
+
+
+@pytest.mark.parametrize("n, p", _BENCH_SELECTIONS, ids=lambda v: f"{v:g}")
+def test_selection_law_matches_dense_coins(n, p):
+    # two-sample tests against one coin per index; the dense draw costs about
+    # 4 ns an index, so the largest universes get fewer draws
+    draws = max(50, min(600, 2 * 10**7 // n))
+    fast = _selection_statistics(bernoulli_ranks, n, p, 90, draws)
+    dense = _selection_statistics(oracles.dense_bernoulli_ranks, n, p, 91, draws)
+    for name, a, b in zip(("size", "first rank", "gaps"), fast, dense):
+        assert _two_sample_pvalue(a, b) > 1e-3, name
 
 
 def test_throw_balls_edges():

@@ -107,13 +107,19 @@ def test_pair_count_budget_is_its_peak(monkeypatch, k, top):
     assert checked[0] <= peak <= checked[0] + 16 * np.getbufsize() + 4096
 
 
-@pytest.mark.parametrize("k, h", [(12, 5), (25, 4), (40, 3), (200, 2), (600, 2)])
-def test_tuple_sums_stay_within_their_budget(monkeypatch, k, h):
+@pytest.mark.parametrize("spread", ["even", "distinct"])
+@pytest.mark.parametrize("k, h", [(5, 2), (60, 2), (200, 2), (600, 2), (5, 3), (12, 3), (60, 3),
+                                  (150, 3), (25, 4), (12, 5)])
+def test_tuple_sums_stay_within_their_budget(monkeypatch, k, h, spread):
     # the bytes the tuple-sum path asks the budget for bound its traced peak,
-    # for elements spread evenly over [10^7]
+    # to within the 8 KiB charged for small objects, for elements spread
+    # evenly over [10^7] (sums shared by many tuples) and for random ones of
+    # [10^12] (sums nearly all distinct)
     asked = []
     monkeypatch.setattr(sidon, "check_budget", lambda nbytes, what: asked.append(nbytes))
-    els = np.unique(np.linspace(1, 10**7, k).astype(np.int64))
+    els = (np.linspace(1, 10**7, k) if spread == "even"
+           else np.random.default_rng(k).choice(10**12, k, replace=False) + 1)
+    els = np.unique(els.astype(np.int64))
     n_tuples = comb(k + h - 1, h)
     assert len(els) == k and n_tuples <= h * int(els[-1]) + 1
     tracemalloc.start()
@@ -122,7 +128,7 @@ def test_tuple_sums_stay_within_their_budget(monkeypatch, k, h):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 8 * n_tuples < peak <= asked[0]
+    assert 8 * n_tuples < peak <= asked[0] <= peak + (8 << 10)
 
 
 def test_pair_count_budget_refuses_before_allocating():

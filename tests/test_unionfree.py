@@ -191,29 +191,31 @@ def test_trial_reports_property():
         union_collision_trial(derive_stream(71, 1), 63, 0.1)
 
 
-# The ranks of 2^40 and 2^62 sets reach past bit 32.  The n = 40 family
-# has no collision at its threshold and two at twice it.  At n = 62 neither
-# the 1429 members of the threshold draw, which the oracle counts in under a
-# second, nor the 128 that a p of 2^-55 keeps collide: those cases check only
-# that no collision is made up, and the next test adds colliding members.
-@pytest.mark.parametrize("n, p, collides", [(40, wuf_threshold_p(40), False),
-                                            (40, 2 * wuf_threshold_p(40), True),
-                                            (62, wuf_threshold_p(62), False),
-                                            (62, 2.0**-55, False)])
-def test_trial_counts_int64_masks_above_2_to_32(n, p, collides):
+# The ranks of 2^40 and 2^62 sets reach past bit 32.  Each trial's count is
+# checked against the oracle on its own draw, at and past the threshold (a
+# draw at n = 62 has about 1400 members there, which the oracle counts in
+# under a second), and at p = 2^-55, about 128 members of 2^62.
+@pytest.mark.parametrize("n, p", [(40, wuf_threshold_p(40)), (40, 2 * wuf_threshold_p(40)),
+                                  (62, wuf_threshold_p(62)), (62, 2.0**-55)])
+def test_trial_counts_int64_masks_above_2_to_32(n, p):
     x, holds = union_collision_trial(derive_stream(74, n), n, p)
     masks = bernoulli_ranks(1 << n, p, derive_stream(74, n))
     assert masks[-1] >> 32
     assert x == oracles.count_union_collisions(masks.tolist())
-    assert (x > 0) == collides and holds == (x == 0)
+    assert holds == (x == 0)
 
 
-def test_counts_collisions_of_masks_above_bit_58():
-    # {61} u {59, 60} = {60, 61} u {59}, among the 128 members drawn at n = 62
-    drawn = bernoulli_ranks(1 << 62, 2.0**-55, derive_stream(74, 62))
-    family = np.union1d(drawn, [1 << 61, 3 << 59, 3 << 60, 1 << 59])
+@pytest.mark.parametrize("n", [40, 62])
+def test_counts_collisions_of_masks_above_bit_32(n):
+    # {n-1} u {n-3, n-2} = {n-2, n-1} u {n-3}, added to the members drawn at
+    # p = 2^-55 (about 2^(n-55)) or, at n = 40, at the threshold
+    p = 2.0**-55 if n == 62 else wuf_threshold_p(n)
+    drawn = bernoulli_ranks(1 << n, p, derive_stream(74, n))
+    built = [1 << n - 1, 3 << n - 3, 3 << n - 2, 1 << n - 3]
+    family = np.union1d(drawn, built)
     x = count_union_collisions(family)
     assert x > 0 and x == oracles.count_union_collisions(family.tolist())
+    assert count_union_collisions(built) == 1
 
 
 # n = 10 takes fewer trials: its ~100-member union tables cost a few times n = 4's
