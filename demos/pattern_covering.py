@@ -15,11 +15,11 @@ import numpy as np
 
 from threshold_lab.analysis import map_trials
 from threshold_lab.perms import (
+    _pattern_rows,
     cover_trial,
     covering_threshold_p,
     pack_trial,
     packing_threshold_bounds,
-    pattern_rank_table,
     verify_cover_counts,
     verify_joint_bounds,
 )
@@ -42,9 +42,10 @@ def exact_census():
     for n, nb_ok, nb_max, joint_ok, joint_max in verify_joint_bounds(4):
         print(f"  n={n}: joint-cover neighborhood max {nb_max} (<= {n ** 3}), "
               f"shared covers max {joint_max} (<= 4)")
-    # the rows of the n = 2 table are S_3 in lex order, and each lists the
-    # lex ranks of its deletions: 0 for (1,2), 1 for (2,1)
-    deletions = dict(zip(permutations((1, 2, 3)), map(set, pattern_rank_table(2).tolist())))
+    # the rows of S_3 in lex order, each listing the lex ranks of its
+    # deletions: 0 for (1,2), 1 for (2,1)
+    rows = _pattern_rows(2, np.arange(6)).T
+    deletions = dict(zip(permutations((1, 2, 3)), map(set, rows.tolist())))
     print(f"  the reversal pair at n=2 attains the shared-cover bound: "
           f"{[rho for rho, ranks in deletions.items() if {0, 1} <= ranks]}")
     print(f"  e.g. the covers of (1,2) = "

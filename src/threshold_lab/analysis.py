@@ -130,13 +130,18 @@ def _poisson_pmf(j: int, mu: float) -> float:
 def poisson_tv_distance(histogram: Mapping[int, int], mu: float) -> float:
     """Total variation distance between a count histogram and Poisson(mu).
 
-    The histogram maps observed values to occurrence counts.  Poisson mass
-    beyond the largest observed value is folded into the distance.
+    The histogram maps observed values, non-negative integers, to
+    non-negative occurrence counts.  Poisson mass beyond the largest observed
+    value is folded into the distance.
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
     if not histogram:
         raise ValueError("histogram must be non-empty")
+    if not all(isinstance(j, (int, np.integer)) and j >= 0 for j in histogram):
+        raise ValueError("histogram values must be non-negative integers")
+    if not all(count >= 0 for count in histogram.values()):
+        raise ValueError("histogram counts must be non-negative")
     total = float(sum(histogram.values()))
     if total <= 0:
         raise ValueError("histogram has no mass")
@@ -337,8 +342,9 @@ def threshold_bisect(
         )
 
     lo, hi = p_lo, p_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    # a tol below the float spacing at the crossing ends on adjacent floats,
+    # whose midpoint rounds onto one of them
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         est = evaluate(mid).estimate
         below = est < target
         if below == rising:

@@ -126,7 +126,10 @@ def overfull_trial(
     stream: np.random.Generator, n_boxes: int, lam: int, n_balls: int
 ) -> tuple[int, bool]:
     """One packing trial: (overfull-box count X, X == 0), from occupied boxes only."""
-    check_budget(8 * n_balls, f"{n_balls} ball draws")
+    # tracemalloc peaks near 41 B a ball, and a few KiB, when every ball has
+    # a box of its own: the draws, their sorted copy, a mask and 24 B an
+    # occupied box; fewer boxes trace less (18 B a ball over 10 boxes)
+    check_budget(42 * n_balls, f"{n_balls} ball draws")
     _, loads = np.unique(throw_balls(n_balls, n_boxes, stream), return_counts=True)
     x = overfull_count(loads, lam)
     return x, x == 0

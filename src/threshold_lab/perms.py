@@ -6,9 +6,9 @@ lex order is f followed by row s of S_n lifted, so its deletions' lex ranks
 follow from f and those of row s.  ``_deletions`` applies that rule: it grows
 the cached level of S_n (its permutations and their deletion ranks) from S_1
 and derives from it ``_pattern_rows``, the rows of any ranks.  The Monte
-Carlo covering and packing trials and the exact cover counts derive only the
-rows they count; ``pattern_rank_table`` holds every row of S_{n+1} for the
-exact check of the joint bound (at most 4 covers shared by two patterns).
+Carlo covering and packing trials derive only the rows they count; the exact
+checks of the cover counts and of the joint bound (at most 4 covers shared by
+two patterns) derive every row of S_{n+1}, a block at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import check_budget
 __all__ = [
     "covering_threshold_p",
     "packing_threshold_bounds",
-    "pattern_rank_table",
     "cover_trial",
     "pack_trial",
     "verify_cover_counts",
@@ -67,26 +66,6 @@ def packing_threshold_bounds(n: int, lam: int) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=2)
-def pattern_rank_table(n: int) -> np.ndarray:
-    """For every permutation of [n+1] (by lex rank), the lex ranks of the
-    patterns of [n] left by deleting each entry in turn, as ``_pattern_rows``
-    gives them, in the smallest unsigned dtype that holds n!: uint8 through
-    n = 5, uint16 through n = 8 and uint32 at n = 9."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rows, dtype = factorial(n + 1), np.min_scalar_type(factorial(n))
-    # tracemalloc peaks at the table, the level (under half a byte a cell)
-    # and one block's temporaries (under 16 bytes a block entry): 2.5 B/cell
-    # at n = 8 in uint16, 4.3 at n = 9 in uint32
-    check_budget((dtype.itemsize + 1) * rows * (n + 1) + 16 * _COUNT_BLOCK,
-                 f"pattern tables of {rows} x {n + 1} ranks")
-    table = np.empty((rows, n + 1), dtype=dtype)
-    for a, block in _row_blocks(n, partial(_pattern_rows, n)):
-        table[a : a + block.shape[1]] = block.T
-    return table
-
-
-@lru_cache(maxsize=2)
 def _pattern_level(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The lex permutations of {0, ..., n-1} as uint8 and the lex ranks of
     their n deletions, one column per permutation: the S_n that every row of
@@ -110,6 +89,11 @@ def _pattern_level(n: int) -> tuple[np.ndarray, np.ndarray]:
     return values, ranks
 
 
+# not called by any trial: ``bench/layers.py`` clears and counts the level
+# builds by this name, so it stays an alias until the benchmark stops naming it
+pattern_rank_table = _pattern_level
+
+
 def _deletions(values: np.ndarray, ranks: np.ndarray, selected: np.ndarray) -> np.ndarray:
     """The deletion ranks of rows ``selected`` of S_{m+1}, one column per row,
     from the lex permutations of S_m and their deletion ranks, one column each.
@@ -131,8 +115,9 @@ def _deletions(values: np.ndarray, ranks: np.ndarray, selected: np.ndarray) -> n
 
 
 def _pattern_rows(n: int, ranks: np.ndarray) -> np.ndarray:
-    """Rows ``ranks`` of ``pattern_rank_table(n)``, one column per rank: their
-    ``_deletions`` from the level of S_n.
+    """The lex ranks of the patterns of [n] left by deleting each entry in turn
+    of the rows ``ranks`` of S_{n+1}, one column per rank: their ``_deletions``
+    from the level of S_n, in the smallest unsigned dtype that holds n!.
 
     Padding: a deletion equal to the one left of it is replaced by the
     sentinel n!, so a bincount over rows with n! + 1 bins counts each
@@ -196,29 +181,32 @@ def verify_cover_counts(max_n: int) -> list[tuple[int, bool, int, int]]:
 
 
 def _joint_pair_keys(n: int) -> np.ndarray:
-    """a * n! + b for every pair of patterns a < b that one row of the
-    pattern table covers together, one key per row and pair, in the smallest
-    unsigned dtype that holds (n!)^2 (uint32 through n = 8); its own
-    function so that its temporaries are freed before the keys are sorted."""
+    """a * n! + b for every pair of patterns a < b that one row of S_{n+1}
+    covers together, one key per row and pair, derived a block of rows at a
+    time, in the smallest unsigned dtype that holds (n!)^2 (uint32 through
+    n = 8); its own function so that its temporaries are freed before the
+    keys are sorted."""
     left, right = np.triu_indices(n + 1, 1)
     rows, dtype = factorial(n + 1), np.min_scalar_type(factorial(n) ** 2)
-    # tracemalloc peaks near 17 bytes a pair in uint32 keys (n = 8), here and
-    # in the caller's unique
-    check_budget((4 * dtype.itemsize + 2) * rows * len(left),
+    # tracemalloc peaks near 15 bytes a pair in uint32 keys (n = 8) in the
+    # caller's unique, and under 6 while the blocks are keyed
+    check_budget(4 * dtype.itemsize * rows * len(left),
                  f"pattern pairs of {rows} x {len(left)}")
-    table, sentinel = pattern_rank_table(n), factorial(n)
-    # a sentinel may sit on either side of a real entry, so the mask tests both
-    a, b = table[:, left], table[:, right]
-    real = (a != sentinel) & (b != sentinel)
-    keys = np.minimum(a, b).astype(dtype)
-    keys *= sentinel
-    keys += np.maximum(a, b)
-    return keys[real]
+    sentinel, keys = factorial(n), []
+    for _, block in _row_blocks(n, partial(_pattern_rows, n)):
+        # a sentinel may sit on either side of a real entry, so the mask tests both
+        a, b = block[left], block[right]
+        real = (a != sentinel) & (b != sentinel)
+        key = np.minimum(a, b).astype(dtype)
+        key *= sentinel
+        key += np.maximum(a, b)
+        keys.append(key[real])
+    return np.concatenate(keys)
 
 
 def verify_joint_bounds(max_n: int) -> list[tuple[int, bool, int, bool, int]]:
     """Check the joint-coverability bounds for every pattern pair, from the
-    pattern pairs that each row of the pattern table covers together.
+    pattern pairs that each row of S_{n+1} covers together.
 
     Per size n: the neighborhood of any pattern (the patterns sharing a cover
     with it) has at most n^3 members, and any two distinct patterns share at

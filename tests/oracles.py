@@ -11,12 +11,13 @@ Gamma draws at once.  The equal-sum census tests every combination of each
 sum's tuples, and at (h, g) = (2, 1) also has closed forms."""
 
 from collections import Counter, defaultdict
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial
 
 import numpy as np
 
-from threshold_lab import designs, perms, sidon, unionfree
+from threshold_lab import designs, sidon, unionfree
 from threshold_lab.errors import BudgetExceededError
 from threshold_lab.rng import bernoulli_ranks
 
@@ -234,8 +235,9 @@ def lex_perms(m):
 
 
 def lehmer_pattern_rank_table(n):
-    """``perms.pattern_rank_table`` from each row's Lehmer code, one int32
-    column per deletion, each row sorted and its repeats replaced by n!."""
+    """The pattern table of S_{n+1}, ``perms._pattern_rows`` of every rank
+    with one row each, from each row's Lehmer code, one int32 column per
+    deletion, each row sorted and its repeats replaced by n!."""
     rho, codes = lex_perms(n + 1)
     weights = np.array([factorial(n - 1 - j) for j in range(n)], dtype=np.int32)
     table = np.empty(codes.T.shape, dtype=np.int32)
@@ -255,8 +257,10 @@ def lehmer_pattern_rank_table(n):
     return table
 
 
+@lru_cache(maxsize=2)
 def grown_pattern_rank_table(n):
-    """``perms.pattern_rank_table`` as a whole-table build: S_1 grown to
+    """The pattern table of S_{n+1}, ``perms._pattern_rows`` of every rank
+    with one row each, as a whole-table build: S_1 grown to
     S_{n+1} one size at a time, one row per permutation and block f of each
     size putting f in front of the size below with its values >= f lifted,
     then every deletion equal to the one left of it replaced by n!."""
@@ -276,7 +280,7 @@ def grown_pattern_rank_table(n):
 def table_coverage_counts(stream, n, p):
     """``perms._coverage_counts`` from a gather of the whole pattern table
     at the same selection."""
-    table = perms.pattern_rank_table(n)
+    table = grown_pattern_rank_table(n)
     selected = table[bernoulli_ranks(len(table), p, stream)]
     return np.bincount(selected.ravel(), minlength=factorial(n) + 1)[:-1]
 
@@ -337,7 +341,7 @@ def design_deficiency_trial(stream, params, p):
 
 
 def perm_pack_trial(stream, n, lam, p):
-    table = perms.pattern_rank_table(n)
+    table = grown_pattern_rank_table(n)
     selected = table[dense_bernoulli_ranks(len(table), p, stream)]
     counts = np.bincount(selected.ravel(), minlength=factorial(n) + 1)[: factorial(n)]
     x = int(np.count_nonzero(counts > lam))

@@ -83,6 +83,21 @@ def test_tv_rejects_non_positive_mu(mu):
         poisson_tv_distance({0: 1, 1: 1}, mu)
 
 
+@pytest.mark.parametrize("histogram", [{-3: 10}, {0: 5, -1: 1}, {0: 5, 2.0: 1}, {"1": 3}],
+                         ids=["negative", "negative-beside-zero", "float", "string"])
+def test_tv_rejects_values_that_are_not_non_negative_integers(histogram):
+    with pytest.raises(ValueError, match="non-negative integers"):
+        poisson_tv_distance(histogram, 1.0)
+
+
+def test_tv_rejects_negative_counts():
+    with pytest.raises(ValueError, match="counts must be non-negative"):
+        poisson_tv_distance({0: 5, 1: -1}, 1.0)
+    # numpy integer values are accepted as the Python ones are
+    assert poisson_tv_distance({np.int64(0): 1000}, math.log(2)) == poisson_tv_distance(
+        {0: 1000}, math.log(2))
+
+
 def _poisson_pmf(j, mu):
     return math.exp(-mu + j * math.log(mu) - math.lgamma(j + 1))
 
@@ -326,6 +341,28 @@ def test_bisect_deterministic_step(rising):
     assert 0.299 <= scan.p_half <= 0.301
     params = [row[0] for row in scan.rows]
     assert params == sorted(params)
+
+
+def test_bisect_ends_when_the_midpoint_rounds_onto_an_endpoint():
+    # a tol below the float spacing at 0.3 leaves two adjacent floats, whose
+    # midpoint is one of them; the scan ends there rather than probing it forever
+    probes = itertools.count()
+
+    def make_trial(p):
+        assert next(probes) < 100, f"still probing at {p!r}"
+        return partial(_step_trial, param=p, knee=0.3, rising=True)
+
+    scan = threshold_bisect(
+        make_trial,
+        0.01,
+        0.9,
+        trials_per_eval=20,
+        tol=1e-300,
+        seed=0,
+    )
+    params = [row[0] for row in scan.rows]
+    below, above = max(p for p in params if p <= 0.3), min(p for p in params if p > 0.3)
+    assert above == math.nextafter(below, 1.0) and below <= scan.p_half <= above
 
 
 def _biased_coin(stream, p):

@@ -46,6 +46,23 @@ def test_overfull_trial_rejects_bad_lambda():
         overfull_trial(derive_stream(3, 0), 10, 0, 5)
 
 
+@pytest.mark.parametrize("n_boxes", [10**9, 10], ids=["distinct-boxes", "few-boxes"])
+def test_overfull_trial_stays_within_its_budget(monkeypatch, n_boxes):
+    # the bytes 10^5 balls ask the budget for bound the traced peak of
+    # counting their boxes, whether nearly every ball has a box of its own or
+    # all share 10
+    n_balls, asked = 10**5, []
+    monkeypatch.setattr(balls, "check_budget", lambda nbytes, what: asked.append(nbytes))
+    overfull_trial(derive_stream(85, 0), n_boxes, 1, n_balls)
+    tracemalloc.start()
+    try:
+        overfull_trial(derive_stream(85, 1), n_boxes, 1, n_balls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * n_balls < peak <= asked[-1]
+
+
 def test_overfull_two_boxes_exhaustive():
     # all 2^2 equally likely assignments of 2 balls to 2 boxes
     xs = []

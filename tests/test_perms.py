@@ -26,7 +26,6 @@ from threshold_lab.perms import (
     covering_threshold_p,
     pack_trial,
     packing_threshold_bounds,
-    pattern_rank_table,
     verify_cover_counts,
     verify_joint_bounds,
 )
@@ -152,7 +151,7 @@ def test_lex_rank_roundtrip():
 def test_pattern_table_fanout():
     # every larger permutation covers between 1 and n+1 distinct patterns
     n = 5
-    table = pattern_rank_table(n)
+    table = perms._pattern_rows(n, np.arange(factorial(n + 1))).T
     sentinel = factorial(n)
     fanout = (table < sentinel).sum(axis=1)
     assert fanout.min() >= 1 and fanout.max() <= n + 1
@@ -163,7 +162,7 @@ def test_pattern_table_fanout():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pattern_table_matches_deletions(n):
     # every row against its deletions, flattened and ranked one by one
-    table = pattern_rank_table(n)
+    table = perms._pattern_rows(n, np.arange(factorial(n + 1))).T
     assert table.dtype == (np.uint8 if n <= 5 else np.uint16)
     for rank, row in enumerate(table.tolist()):
         rho = lex_unrank(rank, n + 1)
@@ -175,7 +174,7 @@ def test_pattern_table_matches_deletions(n):
 def test_pattern_table_rows_match_the_lehmer_build(n):
     # as multisets per row, sentinels included: the grown table keeps each
     # deletion in its column, the Lehmer build sorts its rows
-    table = pattern_rank_table(n)
+    table = perms._pattern_rows(n, np.arange(factorial(n + 1))).T
     expect = oracles.lehmer_pattern_rank_table(n)
     assert np.array_equal(np.sort(table, axis=1), np.sort(expect, axis=1))
 
@@ -187,15 +186,13 @@ def test_derived_rows_match_the_whole_table_build(n):
     expect = oracles.grown_pattern_rank_table(n)
     rows = perms._pattern_rows(n, np.arange(factorial(n + 1)))
     assert rows.dtype == expect.dtype and np.array_equal(rows.T, expect)
-    table = pattern_rank_table(n)
-    assert table.flags.c_contiguous and np.array_equal(table, expect)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_derived_rows_of_any_ranks_are_the_table_rows(n):
     # unsorted, repeated ranks and an empty block, as well as sorted ones
     ranks = derive_stream(63, n).integers(0, factorial(n + 1), size=500)
-    table = pattern_rank_table(n)
+    table = oracles.grown_pattern_rank_table(n)
     for block in (ranks, np.sort(ranks), ranks[:0]):
         assert np.array_equal(perms._pattern_rows(n, block).T, table[block])
 
@@ -231,17 +228,6 @@ def test_trials_match_the_table_path(n):
                 assert pack_trial(derive_stream(64, i), n, lam, p) == (x, x == 0)
 
 
-@pytest.mark.parametrize("n", range(3, 10))
-def test_trials_never_build_the_table(monkeypatch, n):
-    def refuse(n):
-        raise AssertionError("a trial built the pattern table")
-
-    monkeypatch.setattr(perms, "pattern_rank_table", refuse)
-    p = covering_threshold_p(n, 1, 0.0)
-    assert cover_trial(derive_stream(65, 0), n, 1, p)[0] >= 0
-    assert pack_trial(derive_stream(65, 1), n, 1, p)[0] >= 0
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_equal_deletions_are_adjacent_runs(n):
     # the sentinel pass compares neighbouring columns only: deleting rho_i and
@@ -254,8 +240,9 @@ def test_equal_deletions_are_adjacent_runs(n):
                 assert (dels[i] == dels[j]) == all(same[i:j]), (rho, i, j)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_joint_pair_keys_match_the_lehmer_build(n):
+    # keyed a block of rows at a time, in blocks capped by _COUNT_BLOCK at n = 8
     assert np.array_equal(np.sort(perms._joint_pair_keys(n)), np.sort(oracles.joint_pair_keys(n)))
 
 
@@ -313,42 +300,6 @@ def test_packing_bounds():
             assert abs(hi / lo - n ** (2 / (lam + 1))) < 1e-9
 
 
-def test_pattern_table_budget(monkeypatch):
-    # n = 10 (11! x 11 ranks, about 2.0 GiB to build) is refused before any allocation
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceededError, match="memory budget"):
-            pattern_rank_table(10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    # n = 9, the largest `perm --n`, passes the budget and starts building
-
-    def build_started(values, ranks, selected):
-        raise LookupError(f"build started from S_{len(values)}")
-
-    monkeypatch.setattr(perms, "_deletions", build_started)
-    # the level of S_9 built afresh, whether or not an earlier test cached it
-    monkeypatch.setattr(perms, "_pattern_level", perms._pattern_level.__wrapped__)
-    with pytest.raises(LookupError, match="build started from S_1"):
-        pattern_rank_table.__wrapped__(9)
-
-
-def test_pattern_table_build_stays_within_its_budget(monkeypatch):
-    # the bytes the n = 8 build asks the budget for bound its traced peak
-    asked = []
-    monkeypatch.setattr(perms, "check_budget", lambda nbytes, what: asked.append(nbytes))
-    tracemalloc.start()
-    try:
-        table = pattern_rank_table.__wrapped__(8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.dtype == np.uint16
-    assert table.nbytes < peak <= asked[0]
-
-
 @pytest.mark.parametrize("n", [8, 9])
 def test_pattern_level_build_stays_within_its_budget(monkeypatch, n):
     # the bytes the level of S_n asks the budget for bound its traced peak
@@ -395,7 +346,7 @@ def test_cover_trial_memory_on_a_cached_table():
 def test_joint_pair_keys_stay_within_their_budget(monkeypatch):
     # the bytes the n = 7 pair keys ask the budget for bound the traced peak
     # of building them and of the caller's unique over them
-    pattern_rank_table(7)
+    perms._pattern_level(7)
     asked = []
     monkeypatch.setattr(perms, "check_budget", lambda nbytes, what: asked.append(nbytes))
     tracemalloc.start()
@@ -410,7 +361,7 @@ def test_joint_pair_keys_stay_within_their_budget(monkeypatch):
 
 
 def test_joint_pair_budget():
-    # n = 9 (10! rows x 45 pairs, about 3.7 GiB of keys) is refused before the table is built
+    # n = 9 (10! rows x 45 pairs, about 4.9 GiB charged) is refused before any block is built
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="memory budget"):
