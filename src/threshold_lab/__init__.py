@@ -9,7 +9,7 @@ and locates the empirical transitions.
 
 import importlib
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 # module -> the public names it defines; each is imported on first access
 # (PEP 562), so importing the package, and so starting the CLI, loads no numpy

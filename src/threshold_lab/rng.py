@@ -19,6 +19,7 @@ __all__ = [
     "bernoulli_blocks",
     "bernoulli_ranks",
     "derive_stream",
+    "selection_floor",
     "throw_balls",
 ]
 
@@ -60,16 +61,13 @@ def bernoulli_ranks(
     """Sorted int64 indices of ``[universe_size]``, each kept independently
     with probability p: the blocks of ``bernoulli_blocks`` at ``_RANK_BLOCK``
     ranks, joined.  The memory budget is checked on the running total before
-    each block is kept and, before any draw, on the size 10 standard
-    deviations and 34 below its mean, which a selection falls short of with
-    a chance under 2e-22 (Bernstein's inequality)."""
+    each block is kept and, before any draw, on ``selection_floor``."""
     drawn = bernoulli_blocks(universe_size, p, stream, _RANK_BLOCK)
-    mean = p * universe_size
-    low = int(max(0.0, mean - 10 * math.sqrt(mean * (1.0 - p)) - 34))
     # the blocks kept and their join, 16 bytes a rank, and the next block as
     # it is drawn, which traces under 16 bytes a rank of the cap
-    check_budget(16 * low + 24 * _RANK_BLOCK,
-                 f"selection arrays for about {round(mean)} of {universe_size} indices")
+    check_budget(16 * selection_floor(universe_size, p) + 24 * _RANK_BLOCK,
+                 f"selection arrays for about {round(p * universe_size)} of "
+                 f"{universe_size} indices")
     blocks, total = [], 0
     for block in drawn:
         total += len(block)
@@ -83,31 +81,42 @@ def bernoulli_blocks(
     universe_size: int, p: float, stream: np.random.Generator, block: int
 ) -> Iterator[np.ndarray]:
     """The indices ``bernoulli_ranks`` keeps, in order, as non-empty sorted
-    int64 arrays of at most ``block`` each.  They are running sums of
-    Geometric(q) gaps at q = min(p, 1 - p), drawn a block of gaps at a time
-    (Devroye 1986, ch. XII), the law of one coin per index at O(q U) draws;
-    above p = 1/2 they are the indices these gaps skip, a window of ``block``
-    indices at a time.  The gaps are one sequence, so the indices do not
-    depend on ``block``."""
+    int64 arrays of at most ``block`` each.  Below p = 1/3 they are running
+    sums of Geometric(p) gaps, drawn a block of gaps at a time (Devroye 1986,
+    ch. XII), the law of one coin per index at O(p U) draws; the gaps are one
+    sequence, so the indices do not depend on ``block``.  From p = 1/3, where
+    numpy draws a gap by sequential search rather than by inversion, they are
+    one uniform coin per index, a window of ``block`` indices at a time."""
     if not 0 <= universe_size <= 1 << 63:
         raise ValueError("universe_size must lie in [0, 2^63]")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if block < 1:
         raise ValueError("block must be at least 1")
-    q = min(p, 1.0 - p)
-    drawn = _gap_sums(universe_size, q, stream, block) if q > 0 else iter(())
-    return drawn if p <= 0.5 else _skipped(drawn, universe_size, block)
+    if p < 1 / 3:
+        return _gap_sums(universe_size, p, stream, block) if p > 0 else iter(())
+    return _coins(universe_size, p, stream, block)
 
 
-def _gap_sums(universe: int, q: float, stream: np.random.Generator,
+def selection_floor(universe_size: int, p: float) -> int:
+    """A size 10 standard deviations and 34 below the mean of a Bernoulli(p)
+    selection of ``[universe_size]``, which the selection falls short of with
+    a chance under 2e-22 (Bernstein's inequality): budgets priced at it
+    refuse a selection before it is drawn."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    mean = p * universe_size
+    return int(max(0.0, mean - 10 * math.sqrt(mean * (1.0 - p)) - 34))
+
+
+def _gap_sums(universe: int, p: float, stream: np.random.Generator,
               block: int) -> Iterator[np.ndarray]:
-    """Running sums of Geometric(q) gaps, less one, while below ``universe``:
-    about q U + 4 sqrt(q U) + 16 gaps at a time, at most ``block``."""
+    """Running sums of Geometric(p) gaps, less one, while below ``universe``:
+    about p U + 4 sqrt(p U) + 16 gaps at a time, at most ``block``."""
     end = 0  # one past the last index kept
     while end < universe:
-        mean = q * (universe - end)
-        ranks = stream.geometric(q, min(block, int(mean + 4 * math.sqrt(mean)) + 16))
+        mean = p * (universe - end)
+        ranks = stream.geometric(p, min(block, int(mean + 4 * math.sqrt(mean)) + 16))
         ranks[0] -= 1
         # summed in place in uint64: gaps are below 2^63 and the universe at
         # most 2^63, so no sum up to the first past the universe wraps, though
@@ -126,22 +135,15 @@ def _gap_sums(universe: int, q: float, stream: np.random.Generator,
         end = int(ranks[-1]) + 1
 
 
-def _skipped(drawn: Iterator[np.ndarray], universe: int,
-             block: int) -> Iterator[np.ndarray]:
-    """The indices of ``[universe]`` missing from the sorted blocks ``drawn``,
-    a window of ``block`` indices at a time."""
-    pending = np.empty(0, dtype=np.int64)
+def _coins(universe: int, p: float, stream: np.random.Generator,
+           block: int) -> Iterator[np.ndarray]:
+    """The indices of ``[universe]`` whose uniform coin falls below p, a
+    window of ``block`` indices at a time; at p = 1, every index, undrawn."""
     for a in range(0, universe, block):
-        b = min(a + block, universe)
-        while not (len(pending) and pending[-1] >= b) and (more := next(drawn, None)) is not None:
-            pending = np.concatenate((pending, more))
-        cut = int(np.searchsorted(pending, b))
-        kept = np.ones(b - a, dtype=bool)
-        kept[pending[:cut] - a] = False
-        pending = pending[cut:]
-        ranks = np.flatnonzero(kept)
+        width = min(block, universe - a)
+        ranks = np.arange(width) if p == 1 else np.flatnonzero(stream.random(width) < p)
+        ranks += a
         if len(ranks):
-            ranks += a
             yield ranks
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import _COUNT_BLOCK
 from .errors import check_budget
-from .rng import bernoulli_ranks
+from .rng import bernoulli_ranks, selection_floor
 
 __all__ = [
     "representation_counts",
@@ -43,6 +43,20 @@ def _as_element_array(elements) -> np.ndarray:
     return arr
 
 
+def _check_tables(k: int, top: int, h: int) -> None:
+    """Refuse the tables ``representation_counts`` builds over k elements
+    whose largest h-fold sum is ``top`` before any of them is allocated."""
+    if h == 2:
+        # live at once (the tracemalloc peak): the elements, three arrays of
+        # top + 1 bins (two totals and the bincount being added) and the
+        # largest block of pair sums, a row block with itself or with the rest
+        rows = min(_PAIR_BLOCK, k)
+        check_budget(8 * (k + 3 * (top + 1) + rows * max(rows, k - rows)),
+                     f"pair-sum tables over {top + 1} sums")
+    else:
+        check_budget(8 * (h + 1) * (top + 1), f"representation tables over {top + 1} sums")
+
+
 def representation_counts(elements, h: int) -> np.ndarray:
     """Count nondecreasing h-tuples of elements by their sum.
 
@@ -56,15 +70,9 @@ def representation_counts(elements, h: int) -> np.ndarray:
     els = _as_element_array(elements)
     if len(els) == 0:
         return np.zeros(1, dtype=np.int64)
-    top = int(els[-1]) * h
+    k, top = len(els), int(els[-1]) * h
+    _check_tables(k, top, h)
     if h == 2:
-        # live at once (the tracemalloc peak): the elements, three arrays of
-        # top + 1 bins (two totals and the bincount being added) and the
-        # largest block of pair sums, a row block with itself or with the rest
-        k = len(els)
-        rows = min(_PAIR_BLOCK, k)
-        check_budget(8 * (k + 3 * (top + 1) + rows * max(rows, k - rows)),
-                     f"pair-sum tables over {top + 1} sums")
         # each unordered pair once: a row block's ordered sums with itself plus
         # the diagonal, halved, and its sums with the elements after it
         within = np.bincount(2 * els, minlength=top + 1)
@@ -77,7 +85,6 @@ def representation_counts(elements, h: int) -> np.ndarray:
         within //= 2
         within += after
         return within
-    check_budget(8 * (h + 1) * (top + 1), f"representation tables over {top + 1} sums")
     # complete-knapsack recurrence over elements; exact integer counts
     table = np.zeros((h + 1, top + 1), dtype=np.int64)
     table[0, 0] = 1
@@ -226,7 +233,12 @@ def _max_multiplicity(elements, h: int) -> int:
 def bh_g_trial(
     stream: np.random.Generator, n: int, h: int, g: int, p: float
 ) -> tuple[int, bool]:
-    """One Bernoulli-membership trial over [n]: (max representation count, holds)."""
+    """One Bernoulli-membership trial over [n]: (max representation count,
+    holds).  When even ``selection_floor`` elements have more tuples than the
+    h n + 1 bins, the tables that will count them are priced before the draw."""
+    k = selection_floor(n, p)
+    if comb(k + h - 1, h) > h * n + 1:
+        _check_tables(k, h * max(k - 1, 0), h)  # k distinct elements reach (k - 1) h
     top = _max_multiplicity(bernoulli_ranks(n, p, stream) + 1, h)
     return top, top <= g
 
@@ -234,6 +246,9 @@ def bh_g_trial(
 def truncated_basis_trial(
     stream: np.random.Generator, n: int, h: int, g: int, alpha: float, p: float
 ) -> tuple[int, bool]:
-    """One Bernoulli trial over {0} u [n]: (max count in window, basis holds)."""
+    """One Bernoulli trial over {0} u [n]: (max count in window, basis
+    holds).  Its tables are priced at ``selection_floor`` elements before the draw."""
+    k = selection_floor(n + 1, p)
+    _check_tables(k, h * max(k - 1, 0), h)  # k distinct elements reach (k - 1) h
     window = _basis_window(bernoulli_ranks(n + 1, p, stream), n, h, alpha)
     return int(window.max(initial=0)), bool(window.min(initial=g) >= g)

@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from .errors import check_budget
-from .rng import bernoulli_ranks
+from .rng import bernoulli_ranks, selection_floor
 
 __all__ = [
     "count_union_collisions",
@@ -39,6 +39,11 @@ def _equal_pairs(runs: np.ndarray) -> int:
     return int(lens @ (lens - 1)) // 2
 
 
+def _check_union_tables(m: int) -> None:
+    """Refuse the union tables of an m-member family before any copy of it."""
+    check_budget(_PAIR_TABLE_BYTES * m * m, f"union tables of a {m}-member family")
+
+
 def count_union_collisions(family) -> int:
     """Count unordered pairs of member-pairs with equal unions and four
     distinct sets.
@@ -53,12 +58,12 @@ def count_union_collisions(family) -> int:
     """
     masks = np.asarray(family, dtype=np.int64)
     m = len(masks)
+    _check_union_tables(m)
     ordered = np.sort(masks)
     if m and ordered[0] < 0:
         raise ValueError("masks must be non-negative")
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("family contains duplicate members")
-    check_budget(_PAIR_TABLE_BYTES * m * m, f"union tables of a {m}-member family")
     if m < 4:
         return 0
     unions = masks[:, None] | masks
@@ -115,8 +120,10 @@ def wuf_threshold_p(n: int) -> float:
 def union_collision_trial(
     stream: np.random.Generator, n: int, p: float
 ) -> tuple[int, bool]:
-    """One Bernoulli trial over P([n]): (collision count X, X == 0)."""
+    """One Bernoulli trial over P([n]): (collision count X, X == 0).  The
+    union tables are priced at ``selection_floor`` members before the draw."""
     if not 1 <= n <= _MAX_GROUND:
         raise ValueError(f"need 1 <= n <= {_MAX_GROUND}")
+    _check_union_tables(selection_floor(1 << n, p))
     x = count_union_collisions(bernoulli_ranks(1 << n, p, stream))
     return x, x == 0

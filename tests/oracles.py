@@ -33,9 +33,10 @@ def dense_bernoulli_ranks(universe_size, p, stream):
 
 
 def gap_bernoulli_ranks(universe_size, p, stream):
-    """``rng.bernoulli_ranks`` from one Geometric(q) gap at a time, q = min(p,
-    1 - p), summed as Python integers: the indices the gaps reach below
-    ``universe_size`` or, above p = 1/2, every other index."""
+    """``rng.bernoulli_ranks`` below p = 1/3, and the law of its 0.2.0 sampler
+    at every p, from one Geometric(q) gap at a time, q = min(p, 1 - p), summed
+    as Python integers: the indices the gaps reach below ``universe_size`` or,
+    above p = 1/2, every other index."""
     q, reached, at = min(p, 1 - p), [], -1
     while q > 0 and (at := at + int(stream.geometric(q))) < universe_size:
         reached.append(at)

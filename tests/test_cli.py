@@ -120,8 +120,8 @@ def test_balls_memory_budget_exit_1(tmp_path, capsys, args):
     ],
 )
 def test_table_memory_budget_exit_1(tmp_path, capsys, args):
-    # the union matrix of ~16800 members, the complement of a 0.1 selection
-    # from 2^30 ranks, the 2704156 x 924 incidence table, the 10^10 positions
+    # the union matrix of ~16800 members, a 0.9 selection of 2^30
+    # ranks, the 2704156 x 924 incidence table, the 10^10 positions
     # of a 1 x 10^5 one, the 1998 gather passes over a 2000 x 1999 one,
     # a 4*10^9-bin pair-sum table, ~1.3*10^9 tuple sums and a selection of
     # ~5*10^7 of 10^8 indices are sized in bytes before they are allocated
@@ -547,65 +547,65 @@ assert sys.modules["_hashlib"] is _hashlib
 # moves any of them updates the digest here and logs the output change
 _GOLDEN = [
     ("balls --boxes 100 --lambda 1 --balls 40 --trials 5 --seed 1",
-     "f186b2576bdf2cedb99f87d4b2356ca6793de7165be1c2ff6d921ccb182d536e"),
+     "e721a283e37049ba2636e880174de773720aa7a7b7dc1081fd90cbbf00e4d832"),
     ("balls --boxes 1000 --lambda 2 --waiting --trials 5 --seed 7",
-     "7b75a7d83ea85bc2aa93c9ff264d826a99694905699287804e6f2b23985077f4"),
+     "356c85a02f62c05f44fe13daa357f7c37261b3dcd45a9e22e69f4c6e0a58c1d8"),
     ("balls --boxes 50 --lambda 3 --waiting --trials 4 --seed 8 --format json",
-     "69c43735d0921e556d3bb0603f6aed80b6bb914d49800445e017f6062a0d4154"),
+     "5c68ee5b7046ec2960e7a20fa630c3f6656322b9b3e7b653d255a64dbcce2025"),
     ("design --n 10 --k 3 --t 2 --mode cover --r 1 --trials 20 --seed 11",
-     "c481159d943db584ac7665d42a1f42484c2243a88fecb9800d8c2d7425ee032c"),
+     "9672b58818c850f6686c094c1d78c9c7be0d5ade6030872eb5f187517c5e4d3b"),
     ("design --n 9 --k 4 --t 2 --lambda 2 --mode cover --p 0.2 --trials 10 --seed 13",
-     "99b36ad13c043d49d7fe50ea59896e8608a3f17527ed12c2d0e5d6c3400a382e"),
+     "14c40ec0b99226dc0674903045a23101e568e98ade9ff94c9f2b1720849c5ed8"),
     ("design --n 10 --k 4 --t 2 --lambda 2 --mode pack --p 0.05 --trials 20 --seed 12"
      " --format json",
-     "f17d957dbaf27d2ed4c4bf4596ce79a099a491efff1a0af6a38f6cae2d64bc36"),
+     "2a8934eed1056655b245fe70ae828cb65323e4da351f78a4f31d6f71d10e605e"),
     ("sidon check --n 500 --h 2 --g 1 --k 6 --trials 30 --seed 5",
-     "1a934f26446abb79e007e8816cff412b4f638ec6cfedbfdb184fb22448d09161"),
+     "418bda49ec9427587b6ac31c1aef931b750c2cef9b9d7e09b1c06ed0e6c94e98"),
     ("sidon check --n 200 --h 3 --g 1 --k 5 --trials 10 --seed 6 --format json",
-     "808226ea2223b1ce2fa82748a540654fee4d8f9437a2e85085ff0c62354fec9d"),
+     "6c74e48d8c772a5615b3d155b17b6f766f1addd96424fc268c1ceaff289fff6f"),
     ("sidon basis --n 200 --h 2 --g 2 --alpha 0.5 --A 0 --trials 10 --seed 3",
-     "1476a7c97d656dda4490c59de5c04f8f22a48a5672fa0fb0be8abc76af6e54f8"),
+     "c1aad333b5e658e097f205fdaf622feff8c55986ea2c897f563bbdf14e8d2cdc"),
     # about 600 elements a trial, so the pair sums cross two row blocks
     ("sidon basis --n 10000 --h 2 --g 2 --alpha 0.5 --A 0 --trials 3 --seed 14",
-     "0a7c530010ef3f5c41a31f2e0765ee2193789e83e08e1d6083a28568dd7aa0a9"),
+     "809a8d98bb83a0c3c5c81547357205b99b44dc72efcf7392bd6d3cb35c956454"),
     ("sidon enum-bhg --n 20 --h 2 --g 1 --l 4 --format json",
-     "1fd8a7a735e4e94c74c2701dfa798277d662ae73e68103ccacfa7ba2a080a217"),
+     "8061d9de22041b7add61346414c2c4e13d6357872be03ccef96aef329655eec6"),
     ("sidon scan --n 2000 --h 2 --g 1 --lo 2 --hi 60 --tol 2 --trials-per-eval 60 --seed 4",
-     "ab89ac383005de82479377f8b2e6d52ef224b56df0429f3d70997d6769dd2854"),
+     "ec896c30c59d86c6424dc4d8bb5b914b6f6f00e72afaacbf0f08ad1260dda912"),
     ("perm verify-lemmas --max-n 3",
-     "0645c2663c179ae984fed457a946bb43e1a388b6bb64e0f39593f4e2e25bf0de"),
+     "12769b994d653e42f8eb09ca46c83954f37ad80be16b0a09a25f56cb00886d57"),
     ("perm verify-lemmas --max-n 3 --max-n-cover 2 --format json",
-     "466b777852e00a014fed6341c849b6e73adb55b9f1302110dabe64253cd7be4e"),
+     "951d8bebb6e0bfa715aa818725156ffde73cd0f781347735e08c23d67fc730e6"),
     ("perm cover --n 5 --lambda 1 --r 0 --trials 10 --seed 8",
-     "75319a478a04876acd999632867470bc4711d1203dc49b969597a4cb19e8074d"),
+     "d2d48717aa4fc8d55af8f9b44dc1c6712cb7501e5ccd32629559333728374cb6"),
     ("perm pack --n 5 --lambda 1 --p 0.02 --trials 10 --seed 9 --format json",
-     "27f1948af7d98f08d0e5a97f786424deccfce3ad30b56b71a58e104df418790f"),
+     "2348699d9dd3d550cf36a81f281c44e79a13520770d991f259c4781595f4eeea"),
     # about 71k selected rows of 9 ranks a trial, so the count crosses ten blocks
     ("perm cover --n 8 --lambda 2 --r 0 --trials 2 --seed 15",
-     "e488801400b830b5db928862109680586a5525c536d9a490edd8a441c8b6de2a"),
+     "48f207be0acdf64a4ff9ada74eaf1f6b76b5dba692871e1e21d9215c10c9d19d"),
     # uint32 rows of S_10 derived from the uint16 level of S_9
     ("perm pack --n 9 --lambda 1 --p 0.0005 --trials 2 --seed 17",
-     "b16222978eddbcf44f0ff7d37702b601d1438e45419837cce3b80e025784eef2"),
+     "80da4f7f8bc0ac0482825b6e27aa5c49422b1ad89f61ababe864a48b56b1e2c5"),
     ("unionfree --n 8 --p 0.01 --trials 6 --seed 3",
-     "cbbc8372bfe422984ce7f22f8f58ebe4dd3dbe7203c1f905472743efe6e5502f"),
+     "b94a97bc68ac2a26e807b887f436a2afdedaae6df7c2cea29908c6a770e3d673"),
     ("unionfree --n 4 --p 0.3 --trials 5 --exact-obstacles --seed 2 --format json",
-     "0b30f2fa459720ea2ba4b5211f6e9db678e78ae76223513be4d44fd8f10e891b"),
+     "83d25372c9ac86f3db1322758c7ae30cdbf49c1c41e8654ee5240c3d1fe2cfd5"),
     ("scan --experiment unionfree --n 8 --lo 0.002 --hi 0.2 --tol 0.02 --trials-per-eval 60"
      " --seed 2",
-     "684cc2fc0e6925f50f995407983415a3e29a5c96867ec1cb286b7023a3a8203a"),
+     "f6521406ab30e31f69a447b5508e3a402f06a805ca9263aedbbe94516247033c"),
     ("scan --experiment design-cover --n 10 --k 3 --t 2 --lo 0.02 --hi 0.5 --tol 0.02"
      " --trials-per-eval 60 --seed 4 --format json",
-     "4f0c15060703b58d6594678be049d974c186f0ec5b917fdfbcd3047d4694a0c9"),
+     "aa58bfe313dff542355a0b4fb1a75e617d7f6363f7c90f26385ff94d0d007477"),
     ("scan --experiment design-pack --n 8 --k 3 --t 2 --lo 0.001 --hi 0.5 --tol 0.05"
      " --trials-per-eval 60 --seed 5",
-     "80026754c2421def31f2244182226011913e66fee69ce5cb443c423bee60c8aa"),
+     "9d53fda9007f8b5e9eca618485a5d9a0baeca515e485467d137ae09b53981fc9"),
     ("verify --format json",
-     "755f13ddbae84508e02b5cf00f70d8ee30037070f55ff3c0dadce4d16c0702d6"),
+     "b11d06fab11691f4dbb7fb575173c791220ee3a11afd75bbcc8c8eafadd60478"),
     # the census at h = 3 and at g = 2
     ("sidon enum-bhg --n 40 --h 3 --g 1 --l 5",
-     "037a110504b23e59e48431b271b5e880d4a8d0b6ca3c21d21b2213170c6872e5"),
+     "850e26c72ab830f1c26f185b37f24ecd1403ea4597f24c2f856faf8a5f56da13"),
     ("sidon enum-bhg --n 60 --h 2 --g 2 --l 5",
-     "677a16c8fd8687567172d3a91df8c22785839c2a597475a37730035638117266"),
+     "c957e569f5008f248cd388e309fbc6498deeef33a465beb359096ca74494c24b"),
 ]
 
 

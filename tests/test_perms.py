@@ -216,7 +216,7 @@ def test_derived_rows_of_s10_match_deletions():
 def test_trials_match_the_table_path(n):
     # the trials' counts from their selected rows alone, against a gather of
     # the whole table at the same selection: sparse, at the covering
-    # threshold, past 1/2 (the complement selection), none and all
+    # threshold, from 1/3 (one coin per index), none and all
     for p in (0.0, 0.002, covering_threshold_p(n, 1, 0.0), 0.7, 1.0):
         for i in range(3):
             expect = oracles.table_coverage_counts(derive_stream(64, i), n, p)

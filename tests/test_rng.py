@@ -112,8 +112,7 @@ def test_cardinality_is_binomial():
     assert _binomial_pvalue(sizes, n, p) > 1e-3
 
 
-# (universe, p): a sparse draw, a dense one, and the indices skipped by a
-# draw at 1 - p
+# (universe, p): a sparse draw, a dense one, and one coin per index
 _PATHS = [(20_000, 0.001), (50, 0.3), (50, 0.8)]
 
 
@@ -154,10 +153,10 @@ def test_bernoulli_ranks_edges():
         bernoulli_ranks(-1, 0.5, rng)
 
 
-# (universe, p): a sparse draw, dense draws over several blocks, the skipped
-# indices of a draw at 1 - p, and a small universe
+# (universe, p): a sparse draw, dense draws over several blocks, coin
+# windows over several blocks, a small universe, and one coin window
 @pytest.mark.parametrize("n, p", [(10**6, 0.005), (10**6, 0.03), (10**6, 0.06), (10**6, 0.9),
-                                  (5000, 0.6)])
+                                  (5000, 0.6), (4096, 0.9)])
 def test_bernoulli_ranks_stays_within_its_budget(monkeypatch, n, p):
     asked = []
     monkeypatch.setattr("threshold_lab.rng.check_budget", lambda nbytes, what: asked.append(nbytes))
@@ -191,33 +190,54 @@ def test_bernoulli_ranks_budget_refuses_before_the_whole_selection(monkeypatch):
         assert (stream.random() != derive_stream(84, 0).random()) == drawn
 
 
-# (universe, p): dense and sparse, the skipped indices above 1/2, gaps past
-# 2^63 (U = 2^62 at p = 2^-60 draws about 28 gaps of 2^60 to keep 4 ranks,
-# and at 5e-324 numpy's geometric clamps each gap to 2^63 - 1), and
-# p = 1 - 2^-53, whose dropped indices are drawn at q = 2^-53
-_GAP_CASES = [(0, 0.3), (1, 0.5), (7, 0.2), (100, 0.3), (100, 0.5), (100, 0.7), (300, 0.98),
-              (20_000, 0.001), (2**62, 2.0**-55), (2**62, 2.0**-60), (2**62, 5e-324),
-              (50, 1 - 2.0**-53), (10, 0.0), (10, 1.0)]
+# (trial, arguments): with 1 MiB of budget each selection fits, about 3300
+# members of 2^16, 10^4 of 2*10^4 and 10^4 of 10^6, but the tables it would be
+# counted in do not, even at ``selection_floor`` elements
+@pytest.mark.parametrize("trial, kwargs", [
+    (unionfree.union_collision_trial, dict(n=16, p=0.05)),
+    (sidon.bh_g_trial, dict(n=20_000, h=2, g=1, p=0.5)),
+    (sidon.truncated_basis_trial, dict(n=10**6, h=2, g=1, alpha=0.5, p=0.01)),
+], ids=["unionfree", "sidon-check", "sidon-basis"])
+def test_trial_tables_are_priced_before_the_draw(monkeypatch, trial, kwargs):
+    monkeypatch.setattr("threshold_lab.errors.MAX_ARRAY_BYTES", 1 << 20)
+    stream = derive_stream(94, 0)
+    with pytest.raises(BudgetExceededError, match="tables"):
+        trial(stream, **kwargs)
+    assert stream.random() == derive_stream(94, 0).random()
+
+
+# (universe, p): gap sums below p = 1/3, dense and sparse, gaps past 2^63
+# (U = 2^62 at p = 2^-60 draws about 28 gaps of 2^60 to keep 4 ranks, and at
+# 5e-324 numpy's geometric clamps each gap to 2^63 - 1); coins from p = 1/3
+# on, up to p = 1 - 2^-53; and the ends of p
+_GAP_CASES = [(0, 0.3), (1, 0.5), (7, 0.2), (100, 0.3), (100, 1 / 3), (100, 0.5), (100, 0.7),
+              (300, 0.98), (20_000, 0.001), (2**62, 2.0**-55), (2**62, 2.0**-60),
+              (2**62, 5e-324), (50, 1 - 2.0**-53), (10, 0.0), (10, 1.0)]
+
+
+def _oracle(p):
+    """The same stream's selection one gap at a time in Python integers,
+    which cannot wrap, below p = 1/3, and one coin per index from it."""
+    return oracles.gap_bernoulli_ranks if p < 1 / 3 else oracles.dense_bernoulli_ranks
 
 
 @pytest.mark.parametrize("n, p", _GAP_CASES)
-def test_bernoulli_ranks_match_the_gap_oracle(n, p):
-    # the same stream, one gap at a time in Python integers, which cannot wrap
+def test_bernoulli_ranks_match_their_oracle(n, p):
     for i in range(3):
         ranks = bernoulli_ranks(n, p, derive_stream(85, i))
         assert ranks.dtype == np.int64
-        assert ranks.tolist() == oracles.gap_bernoulli_ranks(n, p, derive_stream(85, i))
+        assert ranks.tolist() == list(_oracle(p)(n, p, derive_stream(85, i)))
 
 
 @pytest.mark.parametrize("n, p", _GAP_CASES)
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_bernoulli_blocks_cross_every_block_edge(n, p, block):
-    # blocks of 1-3 ranks, or windows of 1-3 indices above 1/2: every block
+    # blocks of 1-3 ranks, or windows of 1-3 indices from 1/3: every block
     # edge falls between two ranks, and the blocks join to the whole draw
     blocks = list(bernoulli_blocks(n, p, derive_stream(86, 0), block))
     assert all(0 < len(b) <= block and b.dtype == np.int64 for b in blocks)
     joined = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-    assert np.array_equal(joined, bernoulli_ranks(n, p, derive_stream(86, 0)))
+    assert joined.tolist() == list(_oracle(p)(n, p, derive_stream(86, 0)))
 
 
 def test_bernoulli_ranks_at_the_ends_of_p_draw_nothing():
@@ -290,7 +310,7 @@ def _two_sample_pvalue(a, b) -> float:
         (perms.pack_trial, oracles.perm_pack_trial, dict(n=5, lam=1, p=0.02)),
         (sidon.bh_g_trial, oracles.bh_g_trial, dict(n=2000, h=2, g=1, p=0.01)),
     ],
-    ids=["unionfree-8", "design-9-4-2", "design-9-4-2-complement", "perm-5", "sidon-2000"],
+    ids=["unionfree-8", "design-9-4-2", "design-9-4-2-coins", "perm-5", "sidon-2000"],
 )
 def test_trial_law_matches_dense_oracle(fast, oracle, kwargs):
     trials = 2000
@@ -331,6 +351,17 @@ def test_selection_law_matches_dense_coins(n, p):
     fast = _selection_statistics(bernoulli_ranks, n, p, 90, draws)
     dense = _selection_statistics(oracles.dense_bernoulli_ranks, n, p, 91, draws)
     for name, a, b in zip(("size", "first rank", "gaps"), fast, dense):
+        assert _two_sample_pvalue(a, b) > 1e-3, name
+
+
+@pytest.mark.parametrize("p", [1 / 3, 0.45, 0.7, 0.9], ids=lambda v: f"{v:.3g}")
+def test_coins_match_the_old_gap_law(p):
+    # from p = 1/3 one coin per index replaced the gaps of 0.2.0 (at
+    # q = min(p, 1 - p), the skipped indices above 1/2): the same law
+    n, draws = 200, 2000
+    coins = _selection_statistics(bernoulli_ranks, n, p, 92, draws)
+    gaps = _selection_statistics(oracles.gap_bernoulli_ranks, n, p, 93, draws)
+    for name, a, b in zip(("size", "first rank", "gaps"), coins, gaps):
         assert _two_sample_pvalue(a, b) > 1e-3, name
 
 

@@ -107,6 +107,21 @@ def test_collision_count_memory_budget():
         count_union_collisions(np.arange(10**4))
 
 
+def test_collision_count_budget_refuses_before_copying_the_family(monkeypatch):
+    # the 25 * 2^34 bytes of union tables of 2^17 masks are refused before
+    # the family's 1 MiB is sorted or copied
+    monkeypatch.setattr("threshold_lab.errors.MAX_ARRAY_BYTES", 1 << 20)
+    family = np.arange(1 << 17)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="union tables"):
+            count_union_collisions(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < family.nbytes
+
+
 def test_collision_flag_agreement_random():
     rng = derive_stream(70, 0)
     for _ in range(300):
