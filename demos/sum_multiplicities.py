@@ -49,8 +49,9 @@ def bounded_multiplicity_transition():
 
 def tuple_census_growth():
     section("Equal-sum tuple census grows polynomially")
+    census = {n: count_equal_sum_tuples(n, 2, 1) for n in (10, 20, 40, 80)}
     for l in (3, 4):
-        pts = [(n, count_equal_sum_tuples(n, 2, 1, l)) for n in (10, 20, 40, 80)]
+        pts = [(n, census[n][l]) for n in census]
         slope = loglog_slope(pts)
         counts = ", ".join(f"n={n}: {c}" for n, c in pts)
         print(f"  l={l} distinct symbols: {counts}")

@@ -146,7 +146,8 @@ def _sidon_basis(args):
 
 def _sidon_enum(args):
     from . import sidon
-    count = sidon.count_equal_sum_tuples(args.n, args.h, args.g, args.l)
+    count = (sidon.count_equal_sum_tuples(args.n, args.h, args.g)[args.l]
+             if args.l <= args.h * (args.g + 1) else 0)  # no tuple system uses more values
     params = {"n": args.n, "h": args.h, "g": args.g, "l": args.l}
     return params, ["n", "l", "count"], [(args.n, args.l, count)]
 
@@ -216,6 +217,18 @@ def _scan(args):
     args.lam = 1 if args.lam is None else args.lam
     params.update({"k": args.k, "t": args.t, "lambda": args.lam})
     return params, _design_trial(args, args.experiment == "design-cover")[1]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in any float form, such as -1e-3, as a value,
+    which Python 3.11's argparse reads as an unknown option unless like -1.5."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 class _Experiment(NamedTuple):
@@ -299,8 +312,7 @@ _EXPERIMENTS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="threshold-lab",
-                                  description="packing/covering threshold experiments")
+    top = _Parser(prog="threshold-lab", description="packing/covering threshold experiments")
     top.add_argument("--version", action="version", version=f"threshold-lab {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
     groups = {}

@@ -6,9 +6,9 @@ lex order is f followed by row s of S_n lifted, so its deletions' lex ranks
 follow from f and those of row s.  ``_deletions`` applies that rule: it grows
 the cached level of S_n (its permutations and their deletion ranks) from S_1
 and derives from it ``_pattern_rows``, the rows of any ranks.  The Monte
-Carlo covering and packing trials derive only the rows they count; the exact
-checks of the cover counts and of the joint bound (at most 4 covers shared by
-two patterns) derive every row of S_{n+1}, a block at a time.
+Carlo covering and packing trials derive only the rows they count, and the
+exact cover-count check is their count at p = 1; the joint-bound check (at
+most 4 covers shared by two patterns) derives every row of S_{n+1} in blocks.
 """
 
 from __future__ import annotations
@@ -166,17 +166,15 @@ def pack_trial(
 
 
 def verify_cover_counts(max_n: int) -> list[tuple[int, bool, int, int]]:
-    """Check that every pattern has exactly n^2 + 1 covers, from a bincount
-    of every row of S_{n+1} per size, derived a block at a time.
+    """Check that every pattern has exactly n^2 + 1 covers, from the trials'
+    cover counts at p = 1, which keep every row of S_{n+1} and draw nothing.
 
     Returns one (n, ok, worst observed, expected) row per size.
     """
     rows = []
     for n in range(1, max_n + 1):
-        expected = n * n + 1
-        counts = sum(np.bincount(block.ravel(), minlength=factorial(n) + 1)
-                     for _, block in _row_blocks(n, partial(_pattern_rows, n)))[:-1]
-        rows.append((n, bool((counts == expected).all()), int(counts.max()), expected))
+        counts = _coverage_counts(None, n, 1.0)
+        rows.append((n, bool((counts == n * n + 1).all()), int(counts.max()), n * n + 1))
     return rows
 
 

@@ -43,18 +43,26 @@ def _as_element_array(elements) -> np.ndarray:
     return arr
 
 
-def _check_tables(k: int, top: int, h: int) -> None:
-    """Refuse the tables ``representation_counts`` builds over k elements
-    whose largest h-fold sum is ``top`` before any of them is allocated."""
+def _table_bytes(k: int, top: int, h: int) -> int:
+    """The bytes of the tables ``representation_counts`` builds over k
+    elements whose largest h-fold sum is ``top``."""
     if h == 2:
         # live at once (the tracemalloc peak): the elements, three arrays of
         # top + 1 bins (two totals and the bincount being added) and the
         # largest block of pair sums, a row block with itself or with the rest
         rows = min(_PAIR_BLOCK, k)
-        check_budget(8 * (k + 3 * (top + 1) + rows * max(rows, k - rows)),
-                     f"pair-sum tables over {top + 1} sums")
-    else:
-        check_budget(8 * (h + 1) * (top + 1), f"representation tables over {top + 1} sums")
+        return 8 * (k + 3 * (top + 1) + rows * max(rows, k - rows))
+    return 8 * (h + 1) * (top + 1)
+
+
+def _tuple_sum_bytes(k: int, h: int) -> int:
+    """The bytes ``_max_multiplicity`` takes to sort the tuple sums of k elements."""
+    # the tracemalloc peak is the last column's addition, four int64 arrays a
+    # tuple, or, as its indices are made, three a tuple and five a tuple one
+    # element shorter; the sorted sums and their run starts take under four;
+    # and under 8 KiB of small arrays and objects
+    n_tuples, shorter = comb(k + h - 1, h), comb(k + h - 2, h - 1)
+    return 8 * max(4 * n_tuples, 3 * n_tuples + 5 * shorter) + (8 << 10)
 
 
 def representation_counts(elements, h: int) -> np.ndarray:
@@ -71,7 +79,7 @@ def representation_counts(elements, h: int) -> np.ndarray:
     if len(els) == 0:
         return np.zeros(1, dtype=np.int64)
     k, top = len(els), int(els[-1]) * h
-    _check_tables(k, top, h)
+    check_budget(_table_bytes(k, top, h), f"representation tables over {top + 1} sums")
     if h == 2:
         # each unordered pair once: a row block's ordered sums with itself plus
         # the diagonal, halved, and its sums with the elements after it
@@ -110,10 +118,10 @@ def _extend(start, width):
     return rows, step
 
 
-def count_equal_sum_tuples(n: int, h: int, g: int, l: int) -> int:
-    """Exhaustively count (g+1)-tuples of nondecreasing h-tuples over [n]
-    that are strictly increasing lexicographically, share one common sum,
-    and use exactly l distinct values; 0 outside l in [g+1, h(g+1)].
+def count_equal_sum_tuples(n: int, h: int, g: int) -> list[int]:
+    """Exhaustively count the (g+1)-tuples of nondecreasing h-tuples over [n],
+    strictly increasing lexicographically and of one common sum, that use
+    exactly l distinct values, for every l from 0 to h(g+1), the most any uses.
 
     Before any tuple exists, BudgetExceededError refuses a census whose 2h + 3
     int64 a tuple and block of subsets a depth (at most _COUNT_BLOCK rows and
@@ -121,8 +129,6 @@ def count_equal_sum_tuples(n: int, h: int, g: int, l: int) -> int:
     whose subsets do at 16 bytes each: at h = 2, g = 1, past n = 738."""
     if h < 2 or g < 1 or n < 1:
         raise ValueError("need h >= 2, g >= 1, n >= 1")
-    if l > h * (g + 1) or l < 1:
-        return 0
     n_tuples = comb(n + h - 1, h)
     check_budget(8 * (2 * h + 3) * n_tuples, f"{n_tuples} nondecreasing {h}-tuples")
     sizes = representation_counts(np.arange(1, n + 1), h)
@@ -138,8 +144,9 @@ def count_equal_sum_tuples(n: int, h: int, g: int, l: int) -> int:
     members = members[np.argsort(members.sum(axis=1), kind="stable")].astype(np.min_scalar_type(n))
     ends = np.cumsum(sizes)[members.sum(axis=1) + h]  # one past each tuple's group
     # rows of increasing positions in a group, extended a column at a time by
-    # each that leaves room for the rest, in blocks adding _COUNT_BLOCK rows
-    total, pending, piece = 0, [], np.arange(n_tuples)[:, None]
+    # each that leaves room for the rest, in blocks adding _COUNT_BLOCK rows;
+    # a full row uses one value more than the steps of its sorted values
+    census, pending, piece = np.zeros(h * (g + 1) + 1, np.int64), [], np.arange(n_tuples)[:, None]
     while True:
         if room := g + 1 - piece.shape[1]:
             width = np.maximum(ends[piece[:, -1]] - piece[:, -1] - room, 0)
@@ -147,9 +154,10 @@ def count_equal_sum_tuples(n: int, h: int, g: int, l: int) -> int:
             pending.extend(zip(np.split(piece, cuts), np.split(width, cuts)))
         else:
             symbols = np.sort(members[piece].reshape(len(piece), h * (g + 1)), axis=1)
-            total += int(np.count_nonzero(np.count_nonzero(np.diff(symbols), axis=1) == l - 1))
+            census[1:] += np.bincount(np.count_nonzero(np.diff(symbols), axis=1),
+                                      minlength=h * (g + 1))
         if not pending:
-            return total
+            return census.tolist()
         piece, width = pending.pop()
         rows, last = _extend(piece[:, -1] + 1, width)
         piece = np.column_stack((piece[rows], last))
@@ -216,13 +224,7 @@ def _max_multiplicity(elements, h: int) -> int:
     n_tuples = comb(k + h - 1, h)
     if not k or n_tuples > h * int(els[-1]) + 1:
         return int(representation_counts(els, h).max())
-    # the tracemalloc peak is the last column's addition, four int64 arrays a
-    # tuple, or, as its indices are made, three a tuple and five a tuple one
-    # element shorter; the sorted sums and their run starts take under four;
-    # and under 8 KiB of small arrays and objects
-    shorter = comb(k + h - 2, h - 1)
-    check_budget(8 * max(4 * n_tuples, 3 * n_tuples + 5 * shorter) + (8 << 10),
-                 f"{n_tuples} tuple sums")
+    check_budget(_tuple_sum_bytes(k, h), f"{n_tuples} tuple sums")
     sums = _tuple_sums(els, h)
     sums.sort()
     # the longest run of equal sums, the widest gap between run starts
@@ -234,11 +236,12 @@ def bh_g_trial(
     stream: np.random.Generator, n: int, h: int, g: int, p: float
 ) -> tuple[int, bool]:
     """One Bernoulli-membership trial over [n]: (max representation count,
-    holds).  When even ``selection_floor`` elements have more tuples than the
-    h n + 1 bins, the tables that will count them are priced before the draw."""
+    holds).  Before the draw, the cheaper of its two counts is priced at
+    ``selection_floor`` elements, a lower bound on the charge of the draw."""
     k = selection_floor(n, p)
-    if comb(k + h - 1, h) > h * n + 1:
-        _check_tables(k, h * max(k - 1, 0), h)  # k distinct elements reach (k - 1) h
+    reach = h * max(k - 1, 0)  # k distinct elements reach an h-fold sum of at least (k - 1) h
+    check_budget(min(_table_bytes(k, reach, h), _tuple_sum_bytes(k, h)),
+                 f"the sum tables or tuple sums of {k} elements")
     top = _max_multiplicity(bernoulli_ranks(n, p, stream) + 1, h)
     return top, top <= g
 
@@ -249,6 +252,7 @@ def truncated_basis_trial(
     """One Bernoulli trial over {0} u [n]: (max count in window, basis
     holds).  Its tables are priced at ``selection_floor`` elements before the draw."""
     k = selection_floor(n + 1, p)
-    _check_tables(k, h * max(k - 1, 0), h)  # k distinct elements reach (k - 1) h
+    reach = h * max(k - 1, 0)  # k distinct elements reach an h-fold sum of at least (k - 1) h
+    check_budget(_table_bytes(k, reach, h), f"the sum tables of {k} elements")
     window = _basis_window(bernoulli_ranks(n + 1, p, stream), n, h, alpha)
     return int(window.max(initial=0)), bool(window.min(initial=g) >= g)

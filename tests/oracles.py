@@ -25,6 +25,9 @@ from threshold_lab.rng import bernoulli_ranks
 _MAX_NEIGHBORHOOD_N = 6
 # largest union size whose 3^k determining maps are enumerated
 _MAX_DETERMINING_K = 13
+# rows of ordered pair sums formed at a time, apart from the blocks of the
+# code under test
+_ORACLE_PAIR_BLOCK = 100
 
 
 def dense_bernoulli_ranks(universe_size, p, stream):
@@ -355,15 +358,16 @@ def pair_representation_counts(elements):
     els = np.sort(np.asarray(elements, dtype=np.int64))
     top = 2 * int(els[-1])
     ordered = np.zeros(top + 1, dtype=np.int64)
-    for a in range(0, len(els), sidon._PAIR_BLOCK):
-        block = els[a : a + sidon._PAIR_BLOCK]
+    for a in range(0, len(els), _ORACLE_PAIR_BLOCK):
+        block = els[a : a + _ORACLE_PAIR_BLOCK]
         ordered += np.bincount((block[:, None] + els[None, :]).ravel(), minlength=top + 1)
     return (ordered + np.bincount(2 * els, minlength=top + 1)) // 2
 
 
 def count_equal_sum_tuples(n, h, g, l):
-    """``sidon.count_equal_sum_tuples`` by grouping the nondecreasing h-tuples
-    of [n] by sum and testing every (g+1)-combination of each group."""
+    """``sidon.count_equal_sum_tuples(n, h, g)[l]``, 0 past its last entry
+    l = h(g+1), by grouping the nondecreasing h-tuples of [n] by sum and
+    testing every (g+1)-combination of each group."""
     by_sum = defaultdict(list)
     for tup in combinations_with_replacement(range(1, n + 1), h):
         by_sum[sum(tup)].append(tup)
@@ -372,7 +376,7 @@ def count_equal_sum_tuples(n, h, g, l):
 
 
 def equal_sum_pairs_closed_form(n, l):
-    """``sidon.count_equal_sum_tuples(n, 2, 1, l)`` for l in {3, 4} in closed
+    """``sidon.count_equal_sum_tuples(n, 2, 1)[l]`` for l in {3, 4} in closed
     form.  l = 3: the systems a + b = 2c with a < c < b, floor((n-1)^2 / 4) of
     them.  l = 4: any two of the q(s) pairs a < b of [n] that sum to s, over
     every s, where q(s) = max(0, ceil(s/2) - max(1, s - n))."""

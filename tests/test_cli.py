@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,22 @@ def test_table_memory_budget_exit_1(tmp_path, capsys, args):
     # a 4*10^9-bin pair-sum table, ~1.3*10^9 tuple sums and a selection of
     # ~5*10^7 of 10^8 indices are sized in bytes before they are allocated
     _assert_budget_exit_1(tmp_path, capsys, args)
+
+
+def test_sidon_multiplicity_priced_before_the_draw(tmp_path, capsys):
+    # the ~5*10^13 tuple sums of 10^7 elements were refused only once 10^7
+    # ranks had been drawn; pricing the cheaper count of the selection's
+    # floor refuses them first
+    tracemalloc.start()
+    try:
+        _assert_budget_exit_1(tmp_path, capsys, "sidon check --n 1000000000000000 --h 2 --g 1"
+                                                " --k 10000000 --trials 1 --workers 1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert _run("sidon check --n 20000000 --h 2 --g 1 --k 5 --trials 1 --workers 1".split()
+                + ["--out", str(tmp_path / "few.csv")]) == 0
 
 
 def _assert_budget_exit_1(tmp_path, capsys, args):
@@ -308,6 +325,20 @@ def test_usage_errors_exit_2_before_any_trial(tmp_path, capsys, no_trials, args)
     stderr = capsys.readouterr().err
     assert "error:" in stderr and "Traceback" not in stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, value", [
+    ("design --n 10 --k 3 --t 2 --mode cover --trials 5 --r", "-1e-3"),
+    ("sidon basis --n 200 --h 2 --g 2 --alpha 0.5 --trials 3 --A", "-2e0"),
+], ids=["design", "sidon-basis"])
+def test_a_negative_number_in_exponent_form_is_a_value(tmp_path, command, value):
+    # Python 3.11's argparse reads -1e-3, unlike -0.001, as an unknown option
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert _run(command.split() + [value, "--workers", "1", "--out", str(a)]) == 0
+    argv = command.split()
+    argv[-1] += f"={value}"
+    assert _run(argv + ["--workers", "1", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize("args, command", [
@@ -606,6 +637,9 @@ _GOLDEN = [
      "850e26c72ab830f1c26f185b37f24ecd1403ea4597f24c2f856faf8a5f56da13"),
     ("sidon enum-bhg --n 60 --h 2 --g 2 --l 5",
      "c957e569f5008f248cd388e309fbc6498deeef33a465beb359096ca74494c24b"),
+    # past h(g+1) distinct values, answered without the census its budget refuses
+    ("sidon enum-bhg --n 9000 --h 2 --g 1 --l 99",
+     "ab87cbd420976a7b1fbb4e174e0bbff8cad25329622ca7d73398c36ee89b02f3"),
 ]
 
 

@@ -77,7 +77,7 @@ def test_counts_match_bruteforce_and_total(elements, h):
 
 @pytest.mark.parametrize("k", [1, 255, 256, 257, 512, 513, 601])
 def test_pair_counts_match_ordered_pair_oracle(k):
-    # sizes on each side of the row-block edges, each set holding 0
+    # sizes on each side of representation_counts' row-block edges, each set holding 0
     rng = np.random.default_rng(k)
     els = np.r_[0, rng.choice(np.arange(1, 4 * k), k - 1, replace=False)]
     assert np.array_equal(representation_counts(els, 2), oracles.pair_representation_counts(els))
@@ -208,25 +208,25 @@ def _tuple_systems_bruteforce(n, l):
 
 
 def test_tuple_systems_small_exact():
-    # frozen from the quadruple-loop oracle at n=6
-    assert count_equal_sum_tuples(6, 2, 1, 3) == 6
-    assert count_equal_sum_tuples(6, 2, 1, 4) == 7
     for n in (4, 6, 9):
+        census = count_equal_sum_tuples(n, 2, 1)
+        if n == 6:  # frozen from the quadruple-loop oracle
+            assert census[3:] == [6, 7]
         for l in (2, 3, 4):
-            assert count_equal_sum_tuples(n, 2, 1, l) == _tuple_systems_bruteforce(n, l)
-    # every l, with n = 1 and 2 (no subset at all) among the sizes
+            assert census[l] == _tuple_systems_bruteforce(n, l), (n, l)
+    # every l, one entry each from 0 to h(g+1) and none past it, with n = 1
+    # and 2 (no subset at all) among the sizes
     for h, g in product((2, 3, 4), (1, 2, 3)):
         for n in (1, 2, 3, 5, 7) if h < 4 else (1, 2, 3, 5):
-            for l in range(h * (g + 1) + 2):
-                got = count_equal_sum_tuples(n, h, g, l)
-                assert got == oracles.count_equal_sum_tuples(n, h, g, l), (n, h, g, l)
+            want = [oracles.count_equal_sum_tuples(n, h, g, l) for l in range(h * (g + 1) + 2)]
+            assert count_equal_sum_tuples(n, h, g) + [0] == want, (n, h, g)
 
 
 @pytest.mark.parametrize("n, h, g", [(24, 2, 11), (26, 2, 11), (30, 2, 13), (9, 3, 7)])
 def test_tuple_systems_with_g_near_the_largest_group(n, h, g):
     # (g+1)-subsets of the one or two largest sum groups: the deepest blocks
-    for l in range(g + 1, h * (g + 1) + 1):
-        assert count_equal_sum_tuples(n, h, g, l) == oracles.count_equal_sum_tuples(n, h, g, l)
+    want = [oracles.count_equal_sum_tuples(n, h, g, l) for l in range(g + 1, h * (g + 1) + 1)]
+    assert count_equal_sum_tuples(n, h, g)[g + 1 :] == want
 
 
 def test_pair_census_closed_forms_match_the_oracle():
@@ -238,50 +238,52 @@ def test_pair_census_closed_forms_match_the_oracle():
 
 @pytest.mark.parametrize("n", [80, 160, 300])
 def test_pair_census_matches_closed_forms(n):
+    census = count_equal_sum_tuples(n, 2, 1)
     for l in (3, 4):
-        assert count_equal_sum_tuples(n, 2, 1, l) == oracles.equal_sum_pairs_closed_form(n, l)
+        assert census[l] == oracles.equal_sum_pairs_closed_form(n, l)
 
 
 def test_tuple_systems_overdetermined():
     for n in (4, 8, 16):
-        for l in (0, 1):
-            assert count_equal_sum_tuples(n, 2, 1, l) == 0
-    assert count_equal_sum_tuples(8, 2, 1, 5) == 0  # beyond h(g+1)
+        census = count_equal_sum_tuples(n, 2, 1)
+        assert census[:2] == [0, 0]
+        # no entry beyond h(g+1), where the oracle finds none
+        assert len(census) == 5 and oracles.count_equal_sum_tuples(n, 2, 1, 5) == 0
 
 
 def test_tuple_systems_contains_mixed_multiplicity():
     # the n=6 count includes systems like (1,3)/(2,2): 3 distinct symbols
-    assert count_equal_sum_tuples(6, 2, 1, 3) >= 1
+    assert count_equal_sum_tuples(6, 2, 1)[3] >= 1
 
 
 def test_tuple_systems_budget():
     with pytest.raises(BudgetExceededError):
-        count_equal_sum_tuples(4000, 2, 1, 3)
+        count_equal_sum_tuples(4000, 2, 1)
     with pytest.raises(BudgetExceededError):
-        count_equal_sum_tuples(240, 2, 2, 6)
+        count_equal_sum_tuples(240, 2, 2)
 
 
-@pytest.mark.parametrize("n, h, g, l", [(4000, 2, 1, 3), (9000, 2, 1, 3), (240, 2, 2, 6)])
-def test_tuple_systems_refused_before_the_tuples_exist(n, h, g, l):
+@pytest.mark.parametrize("n, h, g", [(4000, 2, 1), (9000, 2, 1), (240, 2, 2)])
+def test_tuple_systems_refused_before_the_tuples_exist(n, h, g):
     # the peak is at most the group-size table (7.6 MiB at n = 4000)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="memory budget"):
-            count_equal_sum_tuples(n, h, g, l)
+            count_equal_sum_tuples(n, h, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
 
 
-@pytest.mark.parametrize("n, h, g, l", [(120, 2, 2, 6), (40, 3, 1, 5)])
-def test_tuple_systems_trace_less_than_they_charge(monkeypatch, n, h, g, l):
+@pytest.mark.parametrize("n, h, g", [(120, 2, 2), (40, 3, 1)])
+def test_tuple_systems_trace_less_than_they_charge(monkeypatch, n, h, g):
     checked = {}
     monkeypatch.setattr(sidon, "check_budget",
                         lambda nbytes, what: checked.setdefault(what, nbytes))
     tracemalloc.start()
     try:
-        count_equal_sum_tuples(n, h, g, l)
+        count_equal_sum_tuples(n, h, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,7 +305,7 @@ def test_tuple_systems_admit_what_the_count_caps_did(monkeypatch):
 
     monkeypatch.setattr(sidon, "check_budget", record)
     with pytest.raises(Priced):
-        count_equal_sum_tuples(711, 2, 1, 4)
+        count_equal_sum_tuples(711, 2, 1)
     assert checked[-1] == 16 * 29888870
     assert max(checked) <= MAX_ARRAY_BYTES
 
@@ -313,9 +315,9 @@ def test_max_symbol_growth_exponent():
     # above the exponent, so each pair is fitted where its window is reached
     from threshold_lab.analysis import loglog_slope
 
-    pts = [(n, count_equal_sum_tuples(n, 2, 1, 4)) for n in (10, 20, 40)]
+    pts = [(n, count_equal_sum_tuples(n, 2, 1)[4]) for n in (10, 20, 40)]
     assert abs(loglog_slope(pts) - 3.0) <= 0.3
-    pts = [(n, count_equal_sum_tuples(n, 2, 2, 6)) for n in (30, 60, 120)]
+    pts = [(n, count_equal_sum_tuples(n, 2, 2)[6]) for n in (30, 60, 120)]
     assert abs(loglog_slope(pts) - 4.0) <= 0.3
 
 
