@@ -2,7 +2,8 @@
 
 The coverage core of the designs, perms and balls models (a count of the
 rows of the selected objects, then the targets covered at most lam - 1 or
-at least lam + 1 times), exact binomial tail sums, Poisson goodness-of-fit
+at least lam + 1 times), the runs of trials over index ranges (chunks),
+exact binomial tail sums, Poisson goodness-of-fit
 in total variation, Gumbel empirical-CDF distance, Monte Carlo aggregation
 with Wilson intervals, stochastic bisection for transition location, and
 log-log growth-rate regression.
@@ -14,18 +15,22 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BracketError
-from .rng import bernoulli_blocks, derive_stream
+from .errors import BracketError, check_budget
+from .rng import bernoulli_blocks, bernoulli_chunk, derive_stream, first_block
 
 __all__ = [
     "EULER_GAMMA",
     "MonteCarloSummary",
     "ThresholdScan",
     "selected_row_counts",
+    "chunk_row_counts",
+    "chunked",
+    "row_runs",
     "deficiency_count",
     "overfull_count",
     "clamp_probability",
@@ -63,33 +68,102 @@ def selected_row_counts(
     p: float, stream: np.random.Generator,
 ) -> np.ndarray:
     """Occurrences of each value in [n_bins] over ``rows(ranks)``, the
-    ``width`` values of each rank in [universe] that ``bernoulli_ranks`` keeps
-    with probability p.  Each block of ``bernoulli_blocks``, at most
-    ``_SELECT_BLOCK`` values, is counted as it is drawn, through one intp
-    buffer that ``np.add.at`` reads without a copy, so no more of the
-    selection than one block is held."""
+    ``width`` values of each rank in [universe], in any layout, that
+    ``bernoulli_ranks`` keeps with probability p.  Each block of
+    ``bernoulli_blocks``, at most ``_SELECT_BLOCK`` values, is counted as it
+    is drawn, through one intp buffer that ``np.add.at`` reads without a
+    copy, so no more of the selection than one block is held."""
     step = max(1, _SELECT_BLOCK // width)
     counts = np.zeros(n_bins, dtype=np.intp)
     values = np.empty(step * width, dtype=np.intp)
     for ranks in bernoulli_blocks(universe, p, stream, step):
         block = values[: len(ranks) * width]
-        np.copyto(block, rows(ranks).ravel())
+        np.copyto(block, rows(ranks).ravel("K"))
         np.add.at(counts, block, 1)
     return counts
 
 
-def deficiency_count(profile: np.ndarray, lam: int) -> int:
-    """Number of targets covered at most lam - 1 times."""
-    if lam < 1:
-        raise ValueError("lam must be at least 1")
-    return int(np.count_nonzero(profile <= lam - 1))
+def chunk_row_counts(
+    rows: Callable[[np.ndarray], np.ndarray], universe: int, width: int, n_bins: int,
+    p: float, seed: int, indices: range, measure: Callable[[np.ndarray], list],
+) -> list:
+    """``measure`` of the ``selected_row_counts`` of the trials ``indices``,
+    each on ``derive_stream(seed, i)``, taken a (trials, n_bins) table at a
+    time, one a chunk; ``rows`` gives one column per rank.
+
+    A chunk holds as many trials as ``_SELECT_BLOCK`` values of their first
+    gap blocks (``bernoulli_chunk``) and as many table entries allow, and is
+    counted by one bincount, each trial's values offset by n_bins times its
+    row.  A trial that one block may not hold, or any from p = 1/3, is a
+    chunk of one, streamed by ``selected_row_counts``, as is a trial whose
+    first block falls short of the universe."""
+    step = max(1, _SELECT_BLOCK // width)
+    size = first_block(universe, p, step)
+    streamed = size == step or p >= 1 / 3
+    chunk = 1 if streamed else max(1, min(step // size, _SELECT_BLOCK // n_bins))
+    results, stream = [], None
+    for a in range(0, len(indices), chunk):
+        run = indices[a : a + chunk]
+        if streamed:
+            stream = derive_stream(seed, run[0], stream)
+            results += measure(selected_row_counts(rows, universe, width, n_bins, p, stream)[None])
+            continue
+        # the table, the gaps with their masks and cut, and the values and
+        # their offsets, then one trial streamed in its place
+        check_budget(8 * (chunk * n_bins + chunk * size * (3 + 2 * width)
+                          + n_bins + 2 * step * width),
+                     f"count tables of {chunk} trials of {n_bins} values")
+        stream = derive_stream(seed, run[0], stream)
+        results += measure(_chunk_table(rows, universe, width, n_bins, p, seed, run, size,
+                                        stream))
+    return results
 
 
-def overfull_count(profile: np.ndarray, lam: int) -> int:
-    """Number of targets covered at least lam + 1 times."""
+def _chunk_table(rows, universe: int, width: int, n_bins: int, p: float, seed: int,
+                 run: range, size: int, stream: np.random.Generator) -> np.ndarray:
+    """The (trials, n_bins) counts of the trials ``run``, from one bincount
+    of their values, each offset in place by n_bins times its trial's row,
+    and a trial short of the universe streamed; its own function so that its
+    arrays are freed before the next chunk is drawn."""
+    ranks, counts = bernoulli_chunk(universe, p, seed, run, size, stream)
+    values = rows(ranks).astype(np.intp) if len(ranks) else np.empty(0, dtype=np.intp)
+    values += np.repeat(np.arange(0, len(run) * n_bins, n_bins), np.maximum(counts, 0))
+    table = np.bincount(values.ravel("K"), minlength=len(run) * n_bins).reshape(len(run), n_bins)
+    for t in np.flatnonzero(counts < 0):
+        table[t] = selected_row_counts(rows, universe, width, n_bins, p,
+                                       derive_stream(seed, run[t], stream))
+    return table
+
+
+def row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lengths of the runs of equal adjacent entries in each row of a 2-d
+    array of at least one column, every row's in turn, and the index among
+    them of each row's first run."""
+    count, width = rows.shape
+    starts = np.ones(count * width + 1, dtype=bool)  # and one past the last run
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:-1].reshape(count, width)[:, 1:])
+    starts = np.flatnonzero(starts)
+    return starts[1:] - starts[:-1], np.searchsorted(starts, np.arange(0, count * width, width))
+
+
+def deficiency_count(profile: np.ndarray, lam: int):
+    """Number of targets covered at most lam - 1 times, an int for one
+    profile and a list of them for a table of profiles, one a row."""
     if lam < 1:
         raise ValueError("lam must be at least 1")
-    return int(np.count_nonzero(profile >= lam + 1))
+    return _row_counts(profile <= lam - 1)
+
+
+def overfull_count(profile: np.ndarray, lam: int):
+    """Number of targets covered at least lam + 1 times, an int for one
+    profile and a list of them for a table of profiles, one a row."""
+    if lam < 1:
+        raise ValueError("lam must be at least 1")
+    return _row_counts(profile >= lam + 1)
+
+
+def _row_counts(hits: np.ndarray):
+    return np.count_nonzero(hits, axis=1).tolist() if hits.ndim > 1 else np.count_nonzero(hits)
 
 
 def clamp_probability(p: float) -> float:
@@ -207,28 +281,48 @@ class ThresholdScan:
     p_half: float = math.nan
 
 
-def _run_chunk(args) -> list:
-    """Results of one index range of trials, on one generator re-keyed per trial."""
-    trial_fn, seed, indices = args
+def chunked(chunk: Callable) -> Callable:
+    """Give a trial function ``f(stream, **kw)`` its chunk form: ``chunk(seed,
+    indices, **kw)`` returns f's results on ``derive_stream(seed, i)`` for
+    each i of the index range ``indices``, in order, and ``map_trials`` runs
+    a partial of f with keywords alone through it."""
+
+    def mark(trial_fn: Callable) -> Callable:
+        trial_fn.chunk = chunk
+        return trial_fn
+
+    return mark
+
+
+def _per_trial(trial_fn, seed: int, indices: range) -> list:
+    """Results of trials ``indices``, on one generator re-keyed per trial."""
     stream = None
     return [trial_fn(stream := derive_stream(seed, i, stream)) for i in indices]
 
 
-def _run_pooled(trial_fn, seed: int, indices: range, workers: int) -> list:
-    """Results of ``indices`` in order, run as ``min(len(indices), 4 * workers)``
-    contiguous index ranges on a pool of ``workers`` processes, opened for this
-    call and shut down before it returns."""
+def _runner(trial_fn) -> Callable[[int, range], list]:
+    """(seed, indices) -> the results of those trials: through the chunk form
+    of a partial's function (see ``chunked``), else one trial at a time."""
+    if isinstance(trial_fn, partial) and not trial_fn.args and (
+            chunk := getattr(trial_fn.func, "chunk", None)):
+        return partial(chunk, **trial_fn.keywords)
+    return partial(_per_trial, trial_fn)
+
+
+def _run_pooled(run, seed: int, indices: range, workers: int) -> list:
+    """``run``'s results of ``indices`` in order, run as ``min(len(indices),
+    4 * workers)`` contiguous index ranges on a pool of ``workers`` processes,
+    opened for this call and shut down before it returns."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads it
 
     n, n_chunks = len(indices), min(len(indices), 4 * workers)
-    jobs = [(trial_fn, seed, indices[c * n // n_chunks:(c + 1) * n // n_chunks])
-            for c in range(n_chunks)]
+    jobs = [indices[c * n // n_chunks:(c + 1) * n // n_chunks] for c in range(n_chunks)]
     # fork, so workers inherit the parent's cached tables (3.14 defaults to
     # forkserver); a forking pool starts all its processes at the first submit
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("fork")) as pool:
-        return [value for part in pool.map(_run_chunk, jobs) for value in part]
+        return [value for part in pool.map(partial(run, seed), jobs) for value in part]
 
 
 def _usable_cpus() -> int:
@@ -245,7 +339,9 @@ def map_trials(
 
     Each trial receives ``derive_stream(seed, index)``, one generator re-keyed
     per trial that a trial must not keep, so the output list is identical for
-    any worker count.  The calling process runs the trials in order.  With
+    any worker count.  A trial function with a chunk form (see ``chunked``)
+    runs index ranges through it, with the same results.  The calling
+    process runs trial 0, then ranges that double in length.  With
     ``workers > 1`` it prices the trials left at the time per trial since
     trial 0 (whose time includes any table build); once what a pool of
     ``w = min(workers, rest, usable CPUs)`` processes would save, ``rest * (1 - 1/w)``,
@@ -257,20 +353,23 @@ def map_trials(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    results = []
-    stream = None
-    for i in range(trials):
+    run = _runner(trial_fn)
+    results = run(seed, range(1))
+    since = time.perf_counter()
+    done = 1
+    while done < trials:
         # priced only once the trials since trial 0 have run for a tenth of
         # the pool's cost, so a slow warm-up trial does not open a pool
-        if workers > 1 and i >= 2 and (
+        if workers > 1 and done >= 2 and (
                 measured := time.perf_counter() - since) > _POOL_START_S / 10:
-            rest = trials - i
+            rest = trials - done
             w = min(workers, rest, _usable_cpus())
-            if rest * measured / (i - 1) * (1 - 1 / w) > _POOL_START_S:
-                return results + _run_pooled(trial_fn, seed, range(i, trials), w)
-        results.append(trial_fn(stream := derive_stream(seed, i, stream)))
-        if i == 0:
-            since = time.perf_counter()
+            if rest * measured / (done - 1) * (1 - 1 / w) > _POOL_START_S:
+                return results + _run_pooled(run, seed, range(done, trials), w)
+        # one worker prices nothing, so it runs the rest as one range
+        end = trials if workers == 1 else min(trials, 2 * done)
+        results += run(seed, range(done, end))
+        done = end
     return results
 
 

@@ -17,8 +17,8 @@ from math import comb
 
 import numpy as np
 
-from .analysis import (binomial_tail, clamp_probability, deficiency_count, overfull_count,
-                       selected_row_counts)
+from .analysis import (binomial_tail, chunk_row_counts, chunked, clamp_probability,
+                       deficiency_count, overfull_count, selected_row_counts)
 from .errors import check_budget
 
 __all__ = [
@@ -133,15 +133,31 @@ def expected_deficient(params: DesignParams, p: float) -> float:
     return params.n_tsets * binomial_tail(m, p, 0, min(params.lam - 1, m))
 
 
+def _incidence_rows(params: DesignParams) -> tuple:
+    """The coverage core's arguments for this design's incidence, before p:
+    the ranks of the t-subsets of each k-subset, one column per k-subset."""
+    incidence = _coverage_incidence(params.n, params.k, params.t)
+    return (lambda ranks: np.take(incidence, ranks, axis=0).T, len(incidence),
+            incidence.shape[1], params.n_tsets)
+
+
 def _profile_from_selection(
     params: DesignParams, p: float, stream: np.random.Generator
 ) -> np.ndarray:
     """Per-t-subset coverage counts of one Bernoulli(p) family, by colex rank."""
-    incidence = _coverage_incidence(params.n, params.k, params.t)
-    return selected_row_counts(partial(np.take, incidence, axis=0), len(incidence),
-                               incidence.shape[1], params.n_tsets, p, stream)
+    return selected_row_counts(*_incidence_rows(params), p, stream)
 
 
+def _design_chunk(cover: bool, seed: int, indices: range, params: DesignParams,
+                  p: float) -> list[tuple[int, bool]]:
+    """The deficiency (``cover``) or overfull trials of ``indices``, counted a
+    chunk of profiles at a time."""
+    count = partial(deficiency_count if cover else overfull_count, lam=params.lam)
+    xs = chunk_row_counts(*_incidence_rows(params), p, seed, indices, count)
+    return [(x, x == 0) for x in xs]
+
+
+@chunked(partial(_design_chunk, True))
 def deficiency_trial(
     stream: np.random.Generator, params: DesignParams, p: float
 ) -> tuple[int, bool]:
@@ -150,6 +166,7 @@ def deficiency_trial(
     return x, x == 0
 
 
+@chunked(partial(_design_chunk, False))
 def overfull_trial(
     stream: np.random.Generator, params: DesignParams, p: float
 ) -> tuple[int, bool]:

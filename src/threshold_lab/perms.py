@@ -19,8 +19,8 @@ from math import factorial
 
 import numpy as np
 
-from .analysis import (_COUNT_BLOCK, clamp_probability, deficiency_count, overfull_count,
-                       selected_row_counts)
+from .analysis import (_COUNT_BLOCK, chunk_row_counts, chunked, clamp_probability,
+                       deficiency_count, overfull_count, selected_row_counts)
 from .errors import check_budget
 
 __all__ = [
@@ -140,15 +140,30 @@ def _row_blocks(n: int, rows_of):
         yield a, rows_of(np.arange(a, min(a + step, total)))
 
 
+def _coverage_rows(n: int) -> tuple:
+    """The coverage core's arguments for the patterns of S_{n+1}, before p."""
+    return partial(_pattern_rows, n), factorial(n + 1), n + 1, factorial(n) + 1
+
+
 def _coverage_counts(
     stream: np.random.Generator, n: int, p: float
 ) -> np.ndarray:
     """Per-pattern cover counts of one Bernoulli(p) selection of S_{n+1}, by
     lex rank, from the selected rows alone; the sentinel bin n! is dropped."""
-    return selected_row_counts(partial(_pattern_rows, n), factorial(n + 1), n + 1,
-                               factorial(n) + 1, p, stream)[:-1]
+    return selected_row_counts(*_coverage_rows(n), p, stream)[:-1]
 
 
+def _perm_chunk(cover: bool, seed: int, indices: range, n: int, lam: int,
+                p: float) -> list[tuple[int, bool]]:
+    """The cover (``cover``) or pack trials of ``indices``, counted a chunk of
+    cover counts at a time; the sentinel column n! is dropped."""
+    count = deficiency_count if cover else overfull_count
+    xs = chunk_row_counts(*_coverage_rows(n), p, seed, indices,
+                          lambda table: count(table[:, :-1], lam))
+    return [(x, x == 0) for x in xs]
+
+
+@chunked(partial(_perm_chunk, True))
 def cover_trial(
     stream: np.random.Generator, n: int, lam: int, p: float
 ) -> tuple[int, bool]:
@@ -157,6 +172,7 @@ def cover_trial(
     return x, x == 0
 
 
+@chunked(partial(_perm_chunk, False))
 def pack_trial(
     stream: np.random.Generator, n: int, lam: int, p: float
 ) -> tuple[int, bool]:

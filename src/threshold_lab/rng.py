@@ -17,8 +17,10 @@ from .errors import check_budget
 
 __all__ = [
     "bernoulli_blocks",
+    "bernoulli_chunk",
     "bernoulli_ranks",
     "derive_stream",
+    "first_block",
     "selection_floor",
     "throw_balls",
 ]
@@ -87,15 +89,47 @@ def bernoulli_blocks(
     sequence, so the indices do not depend on ``block``.  From p = 1/3, where
     numpy draws a gap by sequential search rather than by inversion, they are
     one uniform coin per index, a window of ``block`` indices at a time."""
-    if not 0 <= universe_size <= 1 << 63:
-        raise ValueError("universe_size must lie in [0, 2^63]")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if block < 1:
-        raise ValueError("block must be at least 1")
+    _check_selection(universe_size, p, block)
     if p < 1 / 3:
         return _gap_sums(universe_size, p, stream, block) if p > 0 else iter(())
     return _coins(universe_size, p, stream, block)
+
+
+def first_block(universe_size: int, p: float, block: int) -> int:
+    """The gaps a selection's first block draws below p = 1/3: about
+    p U + 4 sqrt(p U) + 16, which fall short of the universe with a chance
+    under 1e-4, and at most ``block``."""
+    mean = p * universe_size
+    return min(block, int(mean + 4 * math.sqrt(mean)) + 16)
+
+
+def bernoulli_chunk(
+    universe_size: int, p: float, seed: int, indices: range, size: int,
+    stream: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The selections ``bernoulli_ranks`` keeps for the trials ``indices``,
+    each on ``derive_stream(seed, i)``, the generator ``stream`` re-keyed,
+    from one (trials, ``size``) matrix of Geometric(p) gaps, one draw a
+    trial, summed and cut at the universe in place.  Returns the indices
+    kept, every trial's in turn, and each trial's count of them; a trial
+    whose ``size`` gaps fall short of the universe, and every trial from
+    p = 1/3, counts -1 and keeps none here, as its own stream must go on
+    (``bernoulli_blocks`` draws it whole)."""
+    _check_selection(universe_size, p, size)
+    trials = len(indices)
+    if p == 0 or p >= 1 / 3:
+        return np.empty(0, dtype=np.int64), np.full(trials, 0 if p == 0 else -1)
+    gaps = np.empty((trials, size), dtype=np.int64)
+    for row, i in zip(gaps, indices):
+        row[:] = derive_stream(seed, i, stream).geometric(p, size)
+    gaps[:, 0] -= 1
+    # as in ``_gap_sums``: no sum up to a row's first past the universe wraps
+    sums = gaps.view(np.uint64)
+    np.cumsum(sums, axis=1, out=sums)
+    past = sums >= universe_size
+    counts = past.argmax(axis=1)
+    counts[~past[np.arange(trials), counts]] = -1
+    return gaps[np.arange(size) < counts[:, None]], counts
 
 
 def selection_floor(universe_size: int, p: float) -> int:
@@ -109,14 +143,22 @@ def selection_floor(universe_size: int, p: float) -> int:
     return int(max(0.0, mean - 10 * math.sqrt(mean * (1.0 - p)) - 34))
 
 
+def _check_selection(universe_size: int, p: float, block: int) -> None:
+    if not 0 <= universe_size <= 1 << 63:
+        raise ValueError("universe_size must lie in [0, 2^63]")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if block < 1:
+        raise ValueError("block must be at least 1")
+
+
 def _gap_sums(universe: int, p: float, stream: np.random.Generator,
               block: int) -> Iterator[np.ndarray]:
-    """Running sums of Geometric(p) gaps, less one, while below ``universe``:
-    about p U + 4 sqrt(p U) + 16 gaps at a time, at most ``block``."""
+    """Running sums of Geometric(p) gaps, less one, while below ``universe``,
+    ``first_block`` of the universe left at a time."""
     end = 0  # one past the last index kept
     while end < universe:
-        mean = p * (universe - end)
-        ranks = stream.geometric(p, min(block, int(mean + 4 * math.sqrt(mean)) + 16))
+        ranks = stream.geometric(p, first_block(universe - end, p, block))
         ranks[0] -= 1
         # summed in place in uint64: gaps are below 2^63 and the universe at
         # most 2^63, so no sum up to the first past the universe wraps, though

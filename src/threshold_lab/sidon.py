@@ -14,9 +14,10 @@ from math import comb, factorial
 
 import numpy as np
 
-from .analysis import _COUNT_BLOCK
+from .analysis import _COUNT_BLOCK, _SELECT_BLOCK, chunked, row_runs
 from .errors import check_budget
-from .rng import bernoulli_ranks, selection_floor
+from .rng import (_RANK_BLOCK, bernoulli_chunk, bernoulli_ranks, derive_stream, first_block,
+                  selection_floor)
 
 __all__ = [
     "representation_counts",
@@ -202,46 +203,114 @@ def basis_threshold_p(n: int, h: int, g: int, alpha: float, a_shift: float) -> f
     return radicand ** (1.0 / h)
 
 
-def _tuple_sums(els: np.ndarray, h: int) -> np.ndarray:
-    """The sum of each nondecreasing h-tuple of the sorted ``els``, one per
-    tuple: each index tuple extended by every index at or above its last; its
-    own function so that its index arrays are freed before the sums are sorted."""
-    sums, last = els, np.arange(len(els))
+def _tuple_sums(els: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of each nondecreasing h-tuple of indices into the last axis of
+    ``els``, in lex order, and the last index of each: each index tuple
+    extended by every index at or above its last; its own function so that
+    its other index arrays are freed before the sums are sorted."""
+    k = els.shape[-1]
+    sums, last = els, np.arange(k)
     for _ in range(h - 1):
-        rows, last = _extend(last, len(els) - last)
-        sums = sums[rows]
-        sums += els[last]
-    return sums
+        rows, last = _extend(last, k - last)
+        sums = np.take(sums, rows, axis=-1)
+        sums += np.take(els, last, axis=-1)
+    return sums, last
+
+
+def _price_multiplicity(n: int, h: int, p: float) -> None:
+    """Refuse a selection of [n] at p whose cheaper count, priced at its
+    ``selection_floor`` elements, a lower bound on the charge of the draw,
+    exceeds the budget."""
+    k = selection_floor(n, p)
+    reach = h * max(k - 1, 0)  # k distinct elements reach an h-fold sum of at least (k - 1) h
+    check_budget(min(_table_bytes(k, reach, h), _tuple_sum_bytes(k, h)),
+                 f"the sum tables or tuple sums of {k} elements")
 
 
 def _max_multiplicity(elements, h: int) -> int:
-    """``representation_counts(elements, h).max()``, from the C(k + h - 1, h)
-    tuple sums directly when they are no more than the table's h * max + 1 bins."""
+    """``representation_counts(elements, h).max()`` (see ``_multiplicities``)."""
     if h < 2:
         raise ValueError("h must be at least 2")
     els = _as_element_array(elements)
-    k = len(els)
-    n_tuples = comb(k + h - 1, h)
-    if not k or n_tuples > h * int(els[-1]) + 1:
-        return int(representation_counts(els, h).max())
-    check_budget(_tuple_sum_bytes(k, h), f"{n_tuples} tuple sums")
-    sums = _tuple_sums(els, h)
-    sums.sort()
-    # the longest run of equal sums, the widest gap between run starts
-    starts = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1], [True])))
-    return int((starts[1:] - starts[:-1]).max())
+    return _multiplicities(els, np.array([len(els)]), h)[0]
 
 
+def _multiplicities(elements: np.ndarray, sizes: np.ndarray, h: int) -> list[int]:
+    """``representation_counts(s, h).max()`` of each set s that the sorted
+    ``elements`` hold in turn, ``sizes`` elements each: from its
+    C(k + h - 1, h) tuple sums directly when they are no more than the
+    table's h * max + 1 bins, else from the table, one set at a time.  The
+    sets counted by their sums are sorted in one call, one set a row, its
+    sums padded to the most of any with distinct negatives."""
+    tops, summed = [0] * len(sizes), np.zeros(len(sizes), dtype=bool)
+    for t, (k, end) in enumerate(zip(sizes.tolist(), np.cumsum(sizes).tolist())):
+        if k and comb(k + h - 1, h) > h * int(elements[end - 1]) + 1:
+            tops[t] = int(representation_counts(elements[end - k : end], h).max())
+        else:
+            summed[t] = k > 0
+    if not summed.any():
+        return tops
+    k = sizes[summed]
+    width = int(k.max())
+    check_budget(len(k) * _tuple_sum_bytes(width, h),
+                 f"{len(k)} x {comb(width + h - 1, h)} tuple sums")
+    if (k == width).all() and summed.all():  # one set, as a rule: no copy
+        sums = _tuple_sums(elements.reshape(len(k), width), h)[0]
+    else:
+        member = np.arange(width) < k[:, None]
+        # sums below 2^31 sort faster, and in half the bytes, as int32
+        padded = np.zeros(member.shape, np.int32 if h * int(elements.max()) < 2**31 else np.int64)
+        padded[member] = elements[np.repeat(summed, sizes)]
+        sums, last = _tuple_sums(padded, h)
+        np.copyto(sums, np.arange(-1, -sums.shape[1] - 1, -1), where=last >= k[:, None])
+        del last
+    sums.sort(axis=1)
+    lengths, first = row_runs(sums)
+    for t, top in zip(np.flatnonzero(summed).tolist(),
+                      np.maximum.reduceat(lengths, first).tolist()):
+        tops[t] = top
+    return tops
+
+
+def _bh_g_chunk(seed: int, indices: range, n: int, h: int, g: int,
+                p: float) -> list[tuple[int, bool]]:
+    """The trials of ``indices``, as many a chunk as ``_SELECT_BLOCK`` tuple
+    sums of sets of their first gap blocks allow, each chunk priced once and counted
+    by ``_multiplicities``; a trial that one block may not hold, or any from
+    p = 1/3, runs on its own, as does one whose first block falls short."""
+    size = first_block(n, p, _RANK_BLOCK)
+    # a set is counted by its tuple sums only when they are no more than h n + 1
+    sums = min(comb(size + h - 1, h), h * n + 1)
+    alone = size == _RANK_BLOCK or p >= 1 / 3
+    chunk = 1 if alone else max(1, _SELECT_BLOCK // sums)
+    results, stream = [], None
+    for a in range(0, len(indices), chunk):
+        run = indices[a : a + chunk]
+        if alone:
+            results.append(bh_g_trial(stream := derive_stream(seed, run[0], stream), n, h, g, p))
+            continue
+        _price_multiplicity(n, h, p)
+        # the gaps, and what ``_tuple_sum_bytes`` charges a set at 64 B a sum:
+        # no set of the chunk outgrows its first block of gaps
+        check_budget(26 * chunk * size + chunk * (64 * sums + (8 << 10)),
+                     f"the tuple sums of {chunk} sets")
+        stream = derive_stream(seed, run[0], stream)
+        elements, sizes = bernoulli_chunk(n, p, seed, run, size, stream)
+        tops = _multiplicities(elements + 1, np.maximum(sizes, 0), h)
+        for t in np.flatnonzero(sizes < 0).tolist():
+            tops[t] = bh_g_trial(stream := derive_stream(seed, run[t], stream), n, h, g, p)[0]
+        results.extend((top, top <= g) for top in tops)
+    return results
+
+
+@chunked(_bh_g_chunk)
 def bh_g_trial(
     stream: np.random.Generator, n: int, h: int, g: int, p: float
 ) -> tuple[int, bool]:
     """One Bernoulli-membership trial over [n]: (max representation count,
     holds).  Before the draw, the cheaper of its two counts is priced at
     ``selection_floor`` elements, a lower bound on the charge of the draw."""
-    k = selection_floor(n, p)
-    reach = h * max(k - 1, 0)  # k distinct elements reach an h-fold sum of at least (k - 1) h
-    check_budget(min(_table_bytes(k, reach, h), _tuple_sum_bytes(k, h)),
-                 f"the sum tables or tuple sums of {k} elements")
+    _price_multiplicity(n, h, p)
     top = _max_multiplicity(bernoulli_ranks(n, p, stream) + 1, h)
     return top, top <= g
 

@@ -14,8 +14,10 @@ from math import comb
 
 import numpy as np
 
+from .analysis import _SELECT_BLOCK, chunked, row_runs
 from .errors import check_budget
-from .rng import bernoulli_ranks, selection_floor
+from .rng import (_RANK_BLOCK, bernoulli_chunk, bernoulli_ranks, derive_stream, first_block,
+                  selection_floor)
 
 __all__ = [
     "count_union_collisions",
@@ -33,10 +35,12 @@ _MAX_GROUND = 62
 _PAIR_TABLE_BYTES = 3 * 8 + 1
 
 
-def _equal_pairs(runs: np.ndarray) -> int:
-    """Unordered pairs of equal entries in a 1-d array whose equal entries are adjacent."""
-    lens = np.diff(np.flatnonzero(np.concatenate(([True], runs[1:] != runs[:-1], [True]))))
-    return int(lens @ (lens - 1)) // 2
+def _squared_runs(rows: np.ndarray) -> np.ndarray:
+    """The sum of the squared lengths of the runs of equal entries in each
+    row of a sorted 2-d array: its width plus twice its equal pairs."""
+    lengths, first = row_runs(rows)
+    lengths *= lengths
+    return np.add.reduceat(lengths, first)
 
 
 def _check_union_tables(m: int) -> None:
@@ -46,16 +50,7 @@ def _check_union_tables(m: int) -> None:
 
 def count_union_collisions(family) -> int:
     """Count unordered pairs of member-pairs with equal unions and four
-    distinct sets.
-
-    Cell (a, b) of the m x m union matrix holds A u B, and the diagonal holds
-    distinct negatives that pair with nothing.  A union shared by c member
-    pairs fills 2c off-diagonal cells, so with E counting equal pairs of
-    cells, sum_U C(c_U, 2) = (E(all cells) - C(m, 2)) / 4.  Two distinct
-    pairs with one union share at most one member, and {A, B}, {A, C} share
-    a union exactly when row A holds A u B = A u C, so the pairings sharing
-    a member are the equal pairs inside each row, and are subtracted.
-    """
+    distinct sets (see ``_collisions``)."""
     masks = np.asarray(family, dtype=np.int64)
     m = len(masks)
     _check_union_tables(m)
@@ -64,15 +59,41 @@ def count_union_collisions(family) -> int:
         raise ValueError("masks must be non-negative")
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("family contains duplicate members")
+    return int(_collisions(masks[None], np.array([m]))[0])
+
+
+def _collisions(families: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The collision count of each row of ``families``, whose first ``sizes``
+    masks are its members, from one segmented sort: one m x m union matrix a
+    family, m the width of the rows, sorted a family a row.
+
+    Cell (a, b) of a family's matrix holds A u B; the diagonal, and every
+    cell of a row or column past its size, holds a distinct negative that
+    pairs with nothing.  A union shared by c member pairs fills 2c off-diagonal
+    cells, so with E counting equal pairs of cells, sum_U C(c_U, 2) =
+    (E(all cells) - C(m, 2)) / 4.  Two distinct pairs with one union share
+    at most one member, and {A, B}, {A, C} share a union exactly when row A
+    holds A u B = A u C, so the pairings sharing a member are the equal
+    pairs inside each row, and are subtracted.
+    """
+    count, m = families.shape
     if m < 4:
-        return 0
-    unions = masks[:, None] | masks
-    unions.flat[:: m + 1] = np.arange(-1, -m - 1, -1)
-    classes = (_equal_pairs(np.sort(unions, axis=None)) - m * (m - 1) // 2) // 4
-    if classes == 0:
-        return 0
-    unions.sort(axis=1)  # each row opens with its own negative, so no run spans two rows
-    return classes - _equal_pairs(unions.ravel())
+        return np.zeros(count, dtype=np.int64)
+    unions = families[:, :, None] | families[:, None, :]
+    cells = unions.reshape(count, m * m)
+    if sizes.sum() < count * m:
+        member = np.arange(m) < sizes[:, None]
+        np.copyto(unions, np.arange(-1, -m * m - 1, -1).reshape(m, m),
+                  where=~(member[:, :, None] & member[:, None, :]))
+    cells[:, :: m + 1] = np.arange(-1, -m * m - 1, -m - 1)
+    # (E - C(m, 2)) / 4, from E = (squares - m^2) / 2
+    classes = _squared_runs(np.sort(cells, axis=1)) - m * m - sizes * (sizes - 1)
+    classes //= 8
+    if classes.any():
+        # each row sorted on its own opens with a negative, so no run spans two
+        unions.sort(axis=2)
+        classes -= (_squared_runs(cells) - m * m) // 2
+    return classes
 
 
 def union_obstacle_count(n: int) -> int:
@@ -117,6 +138,41 @@ def wuf_threshold_p(n: int) -> float:
     return 10.0 ** (-n / 4)
 
 
+def _collision_chunk(seed: int, indices: range, n: int, p: float) -> list[tuple[int, bool]]:
+    """The trials of ``indices``, as many a chunk as ``_SELECT_BLOCK`` union
+    cells of their first gap blocks allow, each chunk priced once and counted
+    by ``_collisions``; a trial that one block may not hold, or any from
+    p = 1/3, runs on its own, as does one whose first block falls short."""
+    if not 1 <= n <= _MAX_GROUND:
+        raise ValueError(f"need 1 <= n <= {_MAX_GROUND}")
+    size = first_block(1 << n, p, _RANK_BLOCK)
+    alone = size == _RANK_BLOCK or p >= 1 / 3
+    chunk = 1 if alone else max(1, _SELECT_BLOCK // (size * size))
+    results, stream = [], None
+    for a in range(0, len(indices), chunk):
+        run = indices[a : a + chunk]
+        if alone:
+            stream = derive_stream(seed, run[0], stream)
+            results.append(union_collision_trial(stream, n, p))
+            continue
+        # no family of the chunk outgrows its first block of gaps
+        check_budget(_PAIR_TABLE_BYTES * chunk * size * size + 26 * chunk * size,
+                     f"union tables of {chunk} families of at most {size} members")
+        stream = derive_stream(seed, run[0], stream)
+        masks, sizes = bernoulli_chunk(1 << n, p, seed, run, size, stream)
+        short = np.flatnonzero(sizes < 0)
+        sizes[short] = 0
+        # masks below 2^31 sort faster, and in half the bytes, as int32
+        families = np.zeros((len(run), sizes.max()), dtype=np.int32 if n < 31 else np.int64)
+        families[np.arange(families.shape[1]) < sizes[:, None]] = masks
+        xs = _collisions(families, sizes).tolist()
+        for t in short.tolist():
+            xs[t] = union_collision_trial(stream := derive_stream(seed, run[t], stream), n, p)[0]
+        results.extend((x, x == 0) for x in xs)
+    return results
+
+
+@chunked(_collision_chunk)
 def union_collision_trial(
     stream: np.random.Generator, n: int, p: float
 ) -> tuple[int, bool]:
