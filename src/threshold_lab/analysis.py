@@ -28,6 +28,7 @@ __all__ = [
     "MonteCarloSummary",
     "ThresholdScan",
     "selected_row_counts",
+    "chunk_trials",
     "chunk_row_counts",
     "chunked",
     "row_runs",
@@ -83,56 +84,61 @@ def selected_row_counts(
     return counts
 
 
-def chunk_row_counts(
-    rows: Callable[[np.ndarray], np.ndarray], universe: int, width: int, n_bins: int,
-    p: float, seed: int, indices: range, measure: Callable[[np.ndarray], list],
-) -> list:
-    """``measure`` of the ``selected_row_counts`` of the trials ``indices``,
-    each on ``derive_stream(seed, i)``, taken a (trials, n_bins) table at a
-    time, one a chunk; ``rows`` gives one column per rank.
+def chunk_trials(one: Callable, seed: int, indices: range, universe: int, p: float,
+                 block: int, cost: Callable, charge: Callable, measure: Callable) -> list:
+    """The results of the trials ``indices``, each ``one`` on
+    ``derive_stream(seed, i)``, taken a chunk of trials at a time.
 
-    A chunk holds as many trials as ``_SELECT_BLOCK`` values of their first
-    gap blocks (``bernoulli_chunk``) and as many table entries allow, and is
-    counted by one bincount, each trial's values offset by n_bins times its
-    row.  A trial that one block may not hold, or any from p = 1/3, is a
-    chunk of one, streamed by ``selected_row_counts``, as is a trial whose
-    first block falls short of the universe."""
-    step = max(1, _SELECT_BLOCK // width)
-    size = first_block(universe, p, step)
-    streamed = size == step or p >= 1 / 3
-    chunk = 1 if streamed else max(1, min(step // size, _SELECT_BLOCK // n_bins))
+    A chunk holds as many trials as ``_SELECT_BLOCK`` over ``cost(size)``,
+    a trial's cost at a first gap block of ``size`` (``first_block`` of the
+    universe, at most ``block``).  ``check_budget`` is asked for the bytes
+    ``charge(chunk, size)`` and what they hold before the chunk's selections
+    are drawn as one matrix (``bernoulli_chunk``), and ``measure(ranks,
+    counts)`` gives the result of each of its trials from the ranks kept,
+    ``counts`` a trial in turn.  A trial that one block may not hold, or any
+    from p = 1/3, runs alone through ``one``, as does, in its place, a trial
+    whose first block falls short of the universe."""
+    size = first_block(universe, p, block)
+    if size == block or p >= 1 / 3:
+        return _per_trial(one, seed, indices)
+    chunk = max(1, _SELECT_BLOCK // cost(size))
     results, stream = [], None
     for a in range(0, len(indices), chunk):
         run = indices[a : a + chunk]
-        if streamed:
-            stream = derive_stream(seed, run[0], stream)
-            results += measure(selected_row_counts(rows, universe, width, n_bins, p, stream)[None])
-            continue
-        # the table, the gaps with their masks and cut, and the values and
-        # their offsets, then one trial streamed in its place
-        check_budget(8 * (chunk * n_bins + chunk * size * (3 + 2 * width)
-                          + n_bins + 2 * step * width),
-                     f"count tables of {chunk} trials of {n_bins} values")
+        check_budget(*charge(chunk, size))
         stream = derive_stream(seed, run[0], stream)
-        results += measure(_chunk_table(rows, universe, width, n_bins, p, seed, run, size,
-                                        stream))
+        ranks, counts = bernoulli_chunk(universe, p, seed, run, size, stream)
+        # the chunk's arrays are freed before its short trials, or the next chunk, are drawn
+        measured = measure(ranks, np.maximum(counts, 0))
+        del ranks
+        for t in np.flatnonzero(counts < 0).tolist():
+            measured[t] = one(stream := derive_stream(seed, run[t], stream))
+        results += measured
     return results
 
 
-def _chunk_table(rows, universe: int, width: int, n_bins: int, p: float, seed: int,
-                 run: range, size: int, stream: np.random.Generator) -> np.ndarray:
-    """The (trials, n_bins) counts of the trials ``run``, from one bincount
-    of their values, each offset in place by n_bins times its trial's row,
-    and a trial short of the universe streamed; its own function so that its
-    arrays are freed before the next chunk is drawn."""
-    ranks, counts = bernoulli_chunk(universe, p, seed, run, size, stream)
-    values = rows(ranks).astype(np.intp) if len(ranks) else np.empty(0, dtype=np.intp)
-    values += np.repeat(np.arange(0, len(run) * n_bins, n_bins), np.maximum(counts, 0))
-    table = np.bincount(values.ravel("K"), minlength=len(run) * n_bins).reshape(len(run), n_bins)
-    for t in np.flatnonzero(counts < 0):
-        table[t] = selected_row_counts(rows, universe, width, n_bins, p,
-                                       derive_stream(seed, run[t], stream))
-    return table
+def chunk_row_counts(one: Callable, rows: Callable, universe: int, width: int, n_bins: int,
+                     p: float, seed: int, indices: range, count: Callable) -> list:
+    """``chunk_trials`` of the coverage trial ``one``, (X, X == 0) of the
+    count X that ``count`` takes of its ``selected_row_counts``; ``rows``
+    gives one column per rank.  A chunk is counted into a (trials, n_bins)
+    table by one bincount, each trial's values offset by n_bins times its row."""
+    step = max(1, _SELECT_BLOCK // width)
+
+    def measure(ranks, counts):
+        values = rows(ranks).astype(np.intp) if len(ranks) else np.empty(0, dtype=np.intp)
+        values += np.repeat(np.arange(0, len(counts) * n_bins, n_bins), counts)
+        table = np.bincount(values.ravel("K"), minlength=len(counts) * n_bins)
+        return [(x, x == 0) for x in count(table.reshape(len(counts), n_bins))]
+
+    # the table, the gaps with their masks and cut, and the values and their
+    # offsets, then one trial streamed in its place
+    return chunk_trials(
+        one, seed, indices, universe, p, step, lambda size: max(size * width, n_bins),
+        lambda chunk, size: (8 * (chunk * n_bins + chunk * size * (3 + 2 * width)
+                                  + n_bins + 2 * step * width),
+                             f"count tables of {chunk} trials of {n_bins} values"),
+        measure)
 
 
 def row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +157,7 @@ def deficiency_count(profile: np.ndarray, lam: int):
     profile and a list of them for a table of profiles, one a row."""
     if lam < 1:
         raise ValueError("lam must be at least 1")
-    return _row_counts(profile <= lam - 1)
+    return np.count_nonzero(profile <= lam - 1, axis=-1).tolist()
 
 
 def overfull_count(profile: np.ndarray, lam: int):
@@ -159,11 +165,7 @@ def overfull_count(profile: np.ndarray, lam: int):
     profile and a list of them for a table of profiles, one a row."""
     if lam < 1:
         raise ValueError("lam must be at least 1")
-    return _row_counts(profile >= lam + 1)
-
-
-def _row_counts(hits: np.ndarray):
-    return np.count_nonzero(hits, axis=1).tolist() if hits.ndim > 1 else np.count_nonzero(hits)
+    return np.count_nonzero(profile >= lam + 1, axis=-1).tolist()
 
 
 def clamp_probability(p: float) -> float:

@@ -152,9 +152,9 @@ def _design_chunk(cover: bool, seed: int, indices: range, params: DesignParams,
                   p: float) -> list[tuple[int, bool]]:
     """The deficiency (``cover``) or overfull trials of ``indices``, counted a
     chunk of profiles at a time."""
+    one = partial(deficiency_trial if cover else overfull_trial, params=params, p=p)
     count = partial(deficiency_count if cover else overfull_count, lam=params.lam)
-    xs = chunk_row_counts(*_incidence_rows(params), p, seed, indices, count)
-    return [(x, x == 0) for x in xs]
+    return chunk_row_counts(one, *_incidence_rows(params), p, seed, indices, count)
 
 
 @chunked(partial(_design_chunk, True))

@@ -157,10 +157,10 @@ def _perm_chunk(cover: bool, seed: int, indices: range, n: int, lam: int,
                 p: float) -> list[tuple[int, bool]]:
     """The cover (``cover``) or pack trials of ``indices``, counted a chunk of
     cover counts at a time; the sentinel column n! is dropped."""
+    one = partial(cover_trial if cover else pack_trial, n=n, lam=lam, p=p)
     count = deficiency_count if cover else overfull_count
-    xs = chunk_row_counts(*_coverage_rows(n), p, seed, indices,
-                          lambda table: count(table[:, :-1], lam))
-    return [(x, x == 0) for x in xs]
+    return chunk_row_counts(one, *_coverage_rows(n), p, seed, indices,
+                            lambda table: count(table[:, :-1], lam))
 
 
 @chunked(partial(_perm_chunk, True))

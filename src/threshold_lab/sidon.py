@@ -10,14 +10,14 @@ of equal-sum tuple systems that drives growth-rate checks.
 from __future__ import annotations
 
 import math
+from functools import partial
 from math import comb, factorial
 
 import numpy as np
 
-from .analysis import _COUNT_BLOCK, _SELECT_BLOCK, chunked, row_runs
+from .analysis import _COUNT_BLOCK, chunk_trials, chunked, row_runs
 from .errors import check_budget
-from .rng import (_RANK_BLOCK, bernoulli_chunk, bernoulli_ranks, derive_stream, first_block,
-                  selection_floor)
+from .rng import _RANK_BLOCK, bernoulli_ranks, selection_floor
 
 __all__ = [
     "representation_counts",
@@ -274,33 +274,23 @@ def _multiplicities(elements: np.ndarray, sizes: np.ndarray, h: int) -> list[int
 
 def _bh_g_chunk(seed: int, indices: range, n: int, h: int, g: int,
                 p: float) -> list[tuple[int, bool]]:
-    """The trials of ``indices``, as many a chunk as ``_SELECT_BLOCK`` tuple
-    sums of sets of their first gap blocks allow, each chunk priced once and counted
-    by ``_multiplicities``; a trial that one block may not hold, or any from
-    p = 1/3, runs on its own, as does one whose first block falls short."""
-    size = first_block(n, p, _RANK_BLOCK)
-    # a set is counted by its tuple sums only when they are no more than h n + 1
-    sums = min(comb(size + h - 1, h), h * n + 1)
-    alone = size == _RANK_BLOCK or p >= 1 / 3
-    chunk = 1 if alone else max(1, _SELECT_BLOCK // sums)
-    results, stream = [], None
-    for a in range(0, len(indices), chunk):
-        run = indices[a : a + chunk]
-        if alone:
-            results.append(bh_g_trial(stream := derive_stream(seed, run[0], stream), n, h, g, p))
-            continue
-        _price_multiplicity(n, h, p)
-        # the gaps, and what ``_tuple_sum_bytes`` charges a set at 64 B a sum:
-        # no set of the chunk outgrows its first block of gaps
-        check_budget(26 * chunk * size + chunk * (64 * sums + (8 << 10)),
-                     f"the tuple sums of {chunk} sets")
-        stream = derive_stream(seed, run[0], stream)
-        elements, sizes = bernoulli_chunk(n, p, seed, run, size, stream)
-        tops = _multiplicities(elements + 1, np.maximum(sizes, 0), h)
-        for t in np.flatnonzero(sizes < 0).tolist():
-            tops[t] = bh_g_trial(stream := derive_stream(seed, run[t], stream), n, h, g, p)[0]
-        results.extend((top, top <= g) for top in tops)
-    return results
+    """The trials of ``indices`` (see ``chunk_trials``), as many a chunk as
+    ``_SELECT_BLOCK`` tuple sums of sets of their first gap blocks allow,
+    and each chunk's sets counted by one ``_multiplicities``."""
+    _price_multiplicity(n, h, p)
+
+    def sums(size):
+        # a set is counted by its tuple sums only when they are no more than h n + 1
+        return min(comb(size + h - 1, h), h * n + 1)
+
+    # the gaps, and what ``_tuple_sum_bytes`` charges a set at 64 B a sum:
+    # no set of the chunk outgrows its first block of gaps
+    return chunk_trials(
+        partial(bh_g_trial, n=n, h=h, g=g, p=p), seed, indices, n, p, _RANK_BLOCK, sums,
+        lambda chunk, size: (26 * chunk * size + chunk * (64 * sums(size) + (8 << 10)),
+                             f"the tuple sums of {chunk} sets"),
+        lambda elements, sizes: [(top, top <= g)
+                                 for top in _multiplicities(elements + 1, sizes, h)])
 
 
 @chunked(_bh_g_chunk)

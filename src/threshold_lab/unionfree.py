@@ -10,14 +10,14 @@ count that the memory budget admits up to n = 12.
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 
 import numpy as np
 
-from .analysis import _SELECT_BLOCK, chunked, row_runs
+from .analysis import chunk_trials, chunked, row_runs
 from .errors import check_budget
-from .rng import (_RANK_BLOCK, bernoulli_chunk, bernoulli_ranks, derive_stream, first_block,
-                  selection_floor)
+from .rng import _RANK_BLOCK, bernoulli_ranks, selection_floor
 
 __all__ = [
     "count_union_collisions",
@@ -139,37 +139,25 @@ def wuf_threshold_p(n: int) -> float:
 
 
 def _collision_chunk(seed: int, indices: range, n: int, p: float) -> list[tuple[int, bool]]:
-    """The trials of ``indices``, as many a chunk as ``_SELECT_BLOCK`` union
-    cells of their first gap blocks allow, each chunk priced once and counted
-    by ``_collisions``; a trial that one block may not hold, or any from
-    p = 1/3, runs on its own, as does one whose first block falls short."""
+    """The trials of ``indices`` (see ``chunk_trials``), as many a chunk as
+    ``_SELECT_BLOCK`` union cells of their first gap blocks allow, and each
+    chunk's families counted by one ``_collisions``."""
     if not 1 <= n <= _MAX_GROUND:
         raise ValueError(f"need 1 <= n <= {_MAX_GROUND}")
-    size = first_block(1 << n, p, _RANK_BLOCK)
-    alone = size == _RANK_BLOCK or p >= 1 / 3
-    chunk = 1 if alone else max(1, _SELECT_BLOCK // (size * size))
-    results, stream = [], None
-    for a in range(0, len(indices), chunk):
-        run = indices[a : a + chunk]
-        if alone:
-            stream = derive_stream(seed, run[0], stream)
-            results.append(union_collision_trial(stream, n, p))
-            continue
-        # no family of the chunk outgrows its first block of gaps
-        check_budget(_PAIR_TABLE_BYTES * chunk * size * size + 26 * chunk * size,
-                     f"union tables of {chunk} families of at most {size} members")
-        stream = derive_stream(seed, run[0], stream)
-        masks, sizes = bernoulli_chunk(1 << n, p, seed, run, size, stream)
-        short = np.flatnonzero(sizes < 0)
-        sizes[short] = 0
+
+    def measure(masks, sizes):
         # masks below 2^31 sort faster, and in half the bytes, as int32
-        families = np.zeros((len(run), sizes.max()), dtype=np.int32 if n < 31 else np.int64)
+        families = np.zeros((len(sizes), sizes.max()), dtype=np.int32 if n < 31 else np.int64)
         families[np.arange(families.shape[1]) < sizes[:, None]] = masks
-        xs = _collisions(families, sizes).tolist()
-        for t in short.tolist():
-            xs[t] = union_collision_trial(stream := derive_stream(seed, run[t], stream), n, p)[0]
-        results.extend((x, x == 0) for x in xs)
-    return results
+        return [(x, x == 0) for x in _collisions(families, sizes).tolist()]
+
+    # no family of the chunk outgrows its first block of gaps
+    return chunk_trials(
+        partial(union_collision_trial, n=n, p=p), seed, indices, 1 << n, p, _RANK_BLOCK,
+        lambda size: size * size,
+        lambda chunk, size: (_PAIR_TABLE_BYTES * chunk * size * size + 26 * chunk * size,
+                             f"union tables of {chunk} families of at most {size} members"),
+        measure)
 
 
 @chunked(_collision_chunk)

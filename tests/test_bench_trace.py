@@ -18,20 +18,30 @@ from workloads import WORKLOADS  # noqa: E402
 
 from threshold_lab import cli  # noqa: E402
 
-# one line a workload, each of chunked trials: union-free, design and Sidon
-_LINES = {"packing": "unionfree-20", "covering": "design-cover", "scan": "scan-sidon"}
+# case -> (workload, line): the four models whose trials run in chunks,
+# union-free, perm, design and Sidon
+_LINES = {"packing": ("packing", "unionfree-20"), "perm-pack": ("packing", "perm-pack"),
+          "covering": ("covering", "design-cover"), "scan": ("scan", "scan-sidon")}
 
 
 def test_every_wrapped_trial_takes_a_stream_first():
-    for module, attr, _ in layers._WRAPPED:
+    tracer, chunked = layers.Tracer(), []
+    for module, attr, name in layers._WRAPPED:
         if attr.endswith("_trial"):
-            assert next(iter(inspect.signature(getattr(module, attr)).parameters)) == "stream"
+            fn = getattr(module, attr)
+            assert next(iter(inspect.signature(fn).parameters)) == "stream"
+            # the wrapper keeps the chunk form that ``map_trials`` runs
+            if hasattr(fn, "chunk"):
+                assert tracer.recorder.wrap(name, fn).chunk is fn.chunk
+                chunked.append(name)
+    assert len(chunked) == 6
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("workload", list(_LINES))
-def test_a_traced_line_prints_the_untraced_bytes(workload, workers):
-    [line] = [line for line in WORKLOADS[workload] if line.name == _LINES[workload]]
+@pytest.mark.parametrize("case", list(_LINES))
+def test_a_traced_line_prints_the_untraced_bytes(case, workers):
+    workload, name = _LINES[case]
+    [line] = [line for line in WORKLOADS[workload] if line.name == name]
     argv = line.argv + ("--seed", "3", "--workers", str(workers))
     code, _, plain = run._in_process(argv, cli.main)
     tracer = layers.Tracer()

@@ -1,5 +1,7 @@
 """Chunked trials: each chunk form returns, trial by trial, what its one-trial
-function returns on ``derive_stream(seed, i)``, and stays within its budget."""
+function returns on ``derive_stream(seed, i)``, and stays within its budget;
+every chunk form runs through ``analysis.chunk_trials``, so the chunking is
+patched there alone."""
 
 import tracemalloc
 from functools import partial
@@ -12,7 +14,8 @@ import oracles
 from test_rng import _GAP_CASES, _oracle
 from threshold_lab import analysis, designs, perms, sidon, unionfree
 from threshold_lab.analysis import _SELECT_BLOCK, map_trials
-from threshold_lab.rng import _RANK_BLOCK, bernoulli_chunk, derive_stream, first_block
+from threshold_lab.rng import (_RANK_BLOCK, bernoulli_chunk, bernoulli_ranks, derive_stream,
+                               first_block)
 
 _DESIGN = designs.DesignParams(9, 4, 2, 2)
 
@@ -124,14 +127,61 @@ def test_rows_short_of_the_universe_go_on_alone(monkeypatch, case):
         universes.append(universe)
         return min(block, max(1, round(p * universe)))
 
-    for module in (analysis, unionfree, sidon):
-        monkeypatch.setattr(module, "first_block", mean_block)
+    monkeypatch.setattr(analysis, "first_block", mean_block)
     trial, kwargs, _ = _CASES[case]
     _assert_chunk_matches(trial, kwargs, 43, range(0, 25))
     universe, p = universes[0], kwargs["p"]
     size = mean_block(universe, p, 1 << 20)
     counts = bernoulli_chunk(universe, p, 43, range(25), size, derive_stream(0, 0))[1]
     assert (counts < 0).any() and (counts >= 0).any()
+
+
+def test_chunk_trials_runs_chunks_and_trials_alone(monkeypatch):
+    # a stub trial and measure, each giving a trial's selection: from its own
+    # stream, or from its row of the chunk's matrix; a first block of the mean
+    # selection's size leaves some rows short of the universe
+    log = []
+
+    def draw(universe, p, seed, indices, size, stream):
+        log.append(("draw", indices))
+        return bernoulli_chunk(universe, p, seed, indices, size, stream)
+
+    def measure(ranks, counts):
+        log.append(("measure", len(counts)))
+        return [row.tolist() for row in np.split(ranks, np.cumsum(counts)[:-1])]
+
+    monkeypatch.setattr(analysis, "check_budget", lambda nbytes, what: log.append(("charge",)))
+    monkeypatch.setattr(analysis, "bernoulli_chunk", draw)
+    monkeypatch.setattr(analysis, "first_block", lambda universe, p, block: min(block, 10))
+
+    def run(p, block, indices):
+        def one(stream):
+            log.append(("one", int(stream.bit_generator.state["state"]["key"][0])))
+            return bernoulli_ranks(200, p, stream).tolist()
+
+        log.clear()
+        got = analysis.chunk_trials(one, 47, indices, 200, p, block,
+                                    lambda size: _SELECT_BLOCK // 4,
+                                    lambda chunk, size: (chunk * size, f"{chunk} trials"), measure)
+        # results stay keyed by index, across chunks and trials run alone
+        assert got == [bernoulli_ranks(200, p, derive_stream(47, i)).tolist() for i in indices]
+        return log
+
+    indices = range(3, 14)
+    log = run(0.05, 64, indices)
+    draws = [k for k, event in enumerate(log) if event[0] == "draw"]
+    assert [log[k][1] for k in draws] == [range(3, 7), range(7, 11), range(11, 14)]
+    # the budget is asked before every draw
+    assert all(log[k - 1] == ("charge",) for k in draws)
+    # a short row runs alone, after its chunk is measured, in its place
+    counts = bernoulli_chunk(200, 0.05, 47, indices, 10, derive_stream(0, 0))[1]
+    short = [i for i, c in zip(indices, counts.tolist()) if c < 0]
+    assert short and len(short) < len(indices)
+    assert [event[1] for event in log if event[0] == "one"] == short
+    assert all(log[k + 1][0] == "measure" for k in draws)
+    # from p = 1/3, and at a first block as long as the block, every trial runs alone
+    for p, block in ((0.4, 64), (0.05, 10)):
+        assert run(p, block, indices) == [("one", i) for i in indices]
 
 
 @pytest.mark.parametrize("n, p", _GAP_CASES)
@@ -169,15 +219,15 @@ def test_a_chunk_stays_within_its_budget(monkeypatch, case):
     # of counting it, its tables built by a chunk before, and its matrix of
     # first gap blocks is part of that peak
     trial, kwargs, cap = _CASES[case]
-    asked, sizes = [], []
+    asked, sizes, lengths = [], [], []
 
     def draw(universe, p, seed, indices, size, stream):
         sizes.append(size)
+        lengths.append(len(indices))
         return bernoulli_chunk(universe, p, seed, indices, size, stream)
 
-    for module in (analysis, unionfree, sidon):
-        monkeypatch.setattr(module, "check_budget", lambda nbytes, what: asked.append(nbytes))
-        monkeypatch.setattr(module, "bernoulli_chunk", draw)
+    monkeypatch.setattr(analysis, "check_budget", lambda nbytes, what: asked.append(nbytes))
+    monkeypatch.setattr(analysis, "bernoulli_chunk", draw)
     trial.chunk(45, range(cap), **kwargs)
     asked.clear()
     tracemalloc.start()
@@ -187,6 +237,7 @@ def test_a_chunk_stays_within_its_budget(monkeypatch, case):
     finally:
         tracemalloc.stop()
     assert 8 * cap * sizes[-1] < peak <= max(asked)
+    assert lengths == [cap, cap]
 
 
 def test_perm_cover_at_n_8_streams_one_trial_a_chunk():

@@ -153,10 +153,12 @@ def _assert_budget_exit_1(tmp_path, capsys, args):
     assert "memory budget" in stderr and "Traceback" not in stderr
 
 
-def test_json_mirrors_csv(tmp_path):
+@pytest.mark.parametrize("line", ["unionfree --n 8 --p 0.01 --trials 6 --seed 3",
+                                  "balls --boxes 5 --lambda 1 --balls 10 --trials 2 --seed 3"])
+def test_json_mirrors_csv(tmp_path, line):
     csv_out = tmp_path / "a.csv"
     json_out = tmp_path / "a.json"
-    args = "unionfree --n 8 --p 0.01 --trials 6 --seed 3".split()
+    args = line.split()
     assert _run(args + ["--out", str(csv_out)]) == 0
     assert _run(args + ["--out", str(json_out), "--format", "json"]) == 0
     payload = json.loads(json_out.read_text())
